@@ -475,8 +475,8 @@ def main(argv=None) -> None:
     flt.add_argument("--engine", default="fast", choices=["fast", "reference"])
     flt.add_argument(
         "--eval-engine", default="auto", choices=["auto", "scalar", "batch"],
-        help="per-device evaluation dispatch (default auto: batch when numpy "
-             "is available and the chunk is large enough)",
+        help="per-device evaluation dispatch (default auto: batch when the "
+             "chunk is large enough)",
     )
     flt.add_argument("--json", metavar="PATH", default=None,
                      help="also write the fleet report as JSON to PATH")

@@ -10,10 +10,10 @@ One entry point covers both evaluation families:
 Engine-selection rules (documented in ``docs/api.md``):
 
 * ``"scalar"`` — always the per-scenario scalar engines;
-* ``"batch"`` — force the numpy kernel; raises if numpy is missing or
-  a scenario requires reference-engine semantics;
-* ``"auto"`` (default) — the batch kernel when numpy is importable and
-  at least :data:`AUTO_BATCH_MIN` fast-engine scenarios are queued;
+* ``"batch"`` — force the numpy kernel; raises if a scenario requires
+  reference-engine semantics;
+* ``"auto"`` (default) — the batch kernel when at least
+  :data:`AUTO_BATCH_MIN` fast-engine scenarios are queued;
   reference-engine scenarios always run scalar.  Results are returned
   in input order regardless of how the work was split.
 
@@ -31,16 +31,9 @@ from typing import List, Optional, Sequence
 from repro.errors import ConfigurationError
 from repro.exec import resolve_workers, run_tasks
 from repro.obs import OBS
+from repro.batch.engine import BatchHarvestEngine
 from repro.batch.scenario import Scenario
 from repro.trace.recorder import LaneSink
-
-try:  # numpy is an optional runtime dependency; scalar is the fallback
-    from repro.batch.engine import BatchHarvestEngine
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised in numpy-free installs
-    BatchHarvestEngine = None
-    HAS_NUMPY = False
 
 ENGINES = ("auto", "scalar", "batch")
 
@@ -57,15 +50,13 @@ def resolve_engine(scenarios: Sequence[Scenario], engine: str = "auto") -> str:
         return "scalar"
     fast = [s for s in scenarios if s.scalar_engine == "fast"]
     if engine == "batch":
-        if not HAS_NUMPY:
-            raise ConfigurationError("engine='batch' requires numpy")
         if len(fast) != len(list(scenarios)):
             raise ConfigurationError(
                 "engine='batch' cannot evaluate reference-engine scenarios; "
                 "use engine='auto' or 'scalar'"
             )
         return "batch"
-    if HAS_NUMPY and len(fast) >= AUTO_BATCH_MIN:
+    if len(fast) >= AUTO_BATCH_MIN:
         return "batch"
     return "scalar"
 

@@ -6,11 +6,14 @@
 1. resolve every unique calibration key through the shared
    :class:`~repro.fleet.cache.CalibrationCache` *in the parent process*
    (devices sharing a tech node + monitor design enroll exactly once);
-2. fan the per-device work out through the
-   :mod:`repro.exec` backbone when ``parallel > 1``, or run the same
-   code path serially when ``parallel <= 1`` (the deterministic mode
-   tests use) — either way :func:`repro.exec.run_tasks` owns chunking,
-   worker-count resolution, and worker metrics merging;
+2. fan the devices out through the :mod:`repro.exec` backbone in one
+   contiguous chunk per worker (or serially when ``parallel <= 1``,
+   the deterministic mode tests use), each chunk replayed by
+   :func:`simulate_devices` — :func:`repro.exec.run_tasks` owns
+   chunking, worker-count resolution, and worker metrics merging.
+   This is the one execution path: arming :mod:`repro.obs` adds the
+   ``fleet.run`` span and run-boundary counters around it, never a
+   different code path;
 3. aggregate results in device-id order, so serial and parallel runs
    produce byte-identical reports.
 
@@ -26,53 +29,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.batch import ENGINES as EVAL_ENGINES
-from repro.batch import (
-    MIN_RUN_WINDOW_V as _MIN_RUN_WINDOW_V,
-    Scenario,
-    apply_policy_margin,
-    evaluate_many,
-)
+from repro.batch import Scenario, evaluate_many
 from repro.errors import ConfigurationError
 from repro.exec import run_tasks
 from repro.fleet.cache import CalibrationCache, CalibrationRecord
 from repro.fleet.report import DeviceResult, FleetReport
 from repro.fleet.spec import DeviceSpec, FleetSpec
-from repro.harvest.fast import FastIntermittentSimulator
 from repro.harvest.monitors import MonitorModel
-from repro.harvest.panel import SolarPanel
-from repro.harvest.simulator import IntermittentSimulator
 from repro.obs import OBS
 from repro.trace.format import payload_digest
-
-_ENGINES = {
-    "fast": FastIntermittentSimulator,
-    "reference": IntermittentSimulator,
-}
-
-# _MIN_RUN_WINDOW_V (imported above) keeps the deployed threshold
-# strictly below turn-on after policy padding; the clamp itself lives
-# in :func:`repro.batch.apply_policy_margin`, shared with Scenario.
-
-
-def _simulate_device(work: Tuple[DeviceSpec, MonitorModel]) -> DeviceResult:
-    """Replay one device's trace.  Top-level so executors can pickle it."""
-    device, monitor = work
-    engine_cls = _ENGINES[device.engine]
-    simulator = engine_cls(
-        monitor,
-        panel=SolarPanel(area_cm2=device.panel_area_cm2),
-        capacitance=device.capacitance,
-    )
-    # Shared with Scenario.build_simulator: padding never lowers the
-    # threshold below its calibrated value, even on tight run windows.
-    apply_policy_margin(simulator, device.policy_margin())
-    report = simulator.run(device.build_trace(), dt=device.dt)
-    return DeviceResult.from_report(
-        device_id=device.device_id,
-        policy=device.policy,
-        engine=device.engine,
-        report=report,
-    )
 
 
 def simulate_devices(
@@ -98,35 +63,6 @@ def simulate_devices(
         )
         for (device, _monitor), report in zip(work, reports)
     ]
-
-
-def _simulate_chunk(work, engine: str = "auto") -> List[DeviceResult]:
-    """Chunk worker for the parallel batch path (runs under
-    :func:`repro.exec.run_tasks`; top-level so it pickles)."""
-    return simulate_devices(work, engine=engine)
-
-
-def _simulate_device_obs(work: Tuple[DeviceSpec, MonitorModel]) -> DeviceResult:
-    """Observability-aware worker: same simulation, plus telemetry.
-
-    Runs under :func:`repro.exec.run_tasks`, which re-arms tracing and
-    metrics inside the worker and merges the task-local metrics snapshot
-    back into the parent — the span and counters here are never dropped,
-    and aggregation stays double-count-free regardless of how the
-    executor schedules or reuses workers.
-    """
-    device, monitor = work
-    start = time.perf_counter()
-    with OBS.tracer.span(
-        "fleet.device",
-        device=device.device_id,
-        engine=device.engine,
-        policy=device.policy,
-    ):
-        result = _simulate_device((device, monitor))
-    OBS.metrics.incr("fleet.devices")
-    OBS.metrics.observe("fleet.device_seconds", time.perf_counter() - start)
-    return result
 
 
 @dataclass
@@ -159,7 +95,6 @@ class FleetRunner:
         parallel: int = 1,
         cache: Optional[CalibrationCache] = None,
         eval_engine: str = "auto",
-        characterize_engine: str = "auto",
     ):
         if eval_engine not in EVAL_ENGINES:
             raise ConfigurationError(
@@ -169,17 +104,8 @@ class FleetRunner:
             raise ConfigurationError("parallel must be >= 1")
         self.fleet = fleet
         self.parallel = parallel
-        # characterize_engine routes enrollment divider cross-checks
-        # through characterize_many(engine=) — surrogate-aware when a
-        # certified model covers the fleet's tech cards.  A caller's own
-        # cache keeps its configured engine.
-        self.cache = (
-            cache
-            if cache is not None
-            else CalibrationCache(characterize_engine=characterize_engine)
-        )
+        self.cache = cache if cache is not None else CalibrationCache()
         self.eval_engine = eval_engine
-        self.characterize_engine = characterize_engine
 
     # ------------------------------------------------------------------
     def resolve_calibrations(self) -> Dict[Tuple, CalibrationRecord]:
@@ -212,16 +138,6 @@ class FleetRunner:
         (``repro replay <trace> --device ID``).
         """
         start = time.perf_counter()
-        if not OBS.enabled:
-            # Observability off: chunked batch evaluation — devices
-            # sharing an engine vectorize through the lockstep kernel.
-            # (Observability runs keep the per-device scalar workers
-            # below, which emit one fleet.device span per device; batch
-            # and scalar results are bit-identical, so the two paths
-            # produce the same report.)
-            work = self._work_items()
-            results = self._execute_batched(work)
-            return self._finish(results, start, record=record)
         hits0, misses0 = self.cache.stats.hits, self.cache.stats.misses
         with OBS.tracer.span(
             "fleet.run",
@@ -229,36 +145,31 @@ class FleetRunner:
             devices=len(self.fleet.devices),
             parallel=self.parallel,
         ) as span:
-            work = self._work_items()
-            results = self._execute(_simulate_device_obs, work)
+            # One contiguous chunk per worker: the kernel's throughput
+            # grows with lane count, so each worker should see the
+            # biggest batch load-balancing allows.
+            results = run_tasks(
+                functools.partial(simulate_devices, engine=self.eval_engine),
+                self._work_items(),
+                parallel=self.parallel,
+                chunked=True,
+                chunk="even",
+                label="fleet.batched",
+            )
             run_result = self._finish(results, start, record=record)
+            cache_hits = self.cache.stats.hits - hits0
+            cache_misses = self.cache.stats.misses - misses0
             span.set(
                 elapsed=run_result.elapsed,
-                cache_hits=self.cache.stats.hits - hits0,
-                cache_misses=self.cache.stats.misses - misses0,
+                cache_hits=cache_hits,
+                cache_misses=cache_misses,
             )
         OBS.metrics.incr("fleet.runs")
+        OBS.metrics.incr("fleet.devices", len(results))
         OBS.metrics.observe("fleet.elapsed", run_result.elapsed)
-        OBS.metrics.incr("fleet.cache_hits", self.cache.stats.hits - hits0)
-        OBS.metrics.incr("fleet.cache_misses", self.cache.stats.misses - misses0)
+        OBS.metrics.incr("fleet.cache_hits", cache_hits)
+        OBS.metrics.incr("fleet.cache_misses", cache_misses)
         return run_result
-
-    def _execute(self, worker, work: List) -> List:
-        # Scalar per-device path: many small chunks (a quarter of an
-        # even split per worker) so the pool load-balances ragged
-        # device runtimes; the backbone preserves result order and
-        # merges each chunk's metrics snapshot.
-        if self.parallel <= 1 or len(work) <= 1:
-            chunk: object = "even"
-        else:
-            chunk = max(1, len(work) // (4 * self.parallel))
-        return run_tasks(
-            worker,
-            work,
-            parallel=self.parallel,
-            chunk=chunk,
-            label="fleet.devices",
-        )
 
     def run_streaming(
         self,
@@ -300,19 +211,6 @@ class FleetRunner:
             on_shard=on_shard,
             record=record,
             **kwargs,
-        )
-
-    def _execute_batched(self, work: List) -> List[DeviceResult]:
-        # One contiguous chunk per worker (not the scalar path's small
-        # chunks): the kernel's throughput grows with lane count, so
-        # each worker should see the biggest batch load-balancing allows.
-        return run_tasks(
-            functools.partial(_simulate_chunk, engine=self.eval_engine),
-            work,
-            parallel=self.parallel,
-            chunked=True,
-            chunk="even",
-            label="fleet.batched",
         )
 
     def _finish(
@@ -372,7 +270,6 @@ def run_fleet(
     parallel: int = 1,
     cache: Optional[CalibrationCache] = None,
     eval_engine: str = "auto",
-    characterize_engine: str = "auto",
 ) -> FleetRunResult:
     """Convenience wrapper: build a runner and run it."""
     return FleetRunner(
@@ -380,5 +277,4 @@ def run_fleet(
         parallel=parallel,
         cache=cache,
         eval_engine=eval_engine,
-        characterize_engine=characterize_engine,
     ).run()

@@ -52,15 +52,15 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Dict, List
+from typing import Dict
 
 from repro.dse.nsga2 import NSGA2
 from repro.dse.objectives import PerformanceModel
-from repro.dse.pareto import non_dominated_sort
+from repro.dse.pareto import pareto_front
 from repro.dse.space import DesignSpace
 from repro.errors import ConfigurationError
 from repro.fleet.report import FleetReport
-from repro.fleet.runner import FleetRunner, _simulate_chunk, record_fleet_run
+from repro.fleet.runner import FleetRunner, record_fleet_run, simulate_devices
 from repro.fleet.spec import FleetSpec
 from repro.fleet.stream import (
     DEFAULT_RESERVOIR_CAPACITY,
@@ -129,7 +129,7 @@ def handle_fleet(context: JobContext, request: Dict) -> Dict:
         context.emit("device", index=index, result=outcome.to_dict())
 
     results = context.wave_run(
-        functools.partial(_simulate_chunk, engine=eval_engine),
+        functools.partial(simulate_devices, engine=eval_engine),
         work,
         parallel=parallel,
         chunked=True,
@@ -238,14 +238,6 @@ def handle_replay(context: JobContext, request: Dict) -> Dict:
 # ----------------------------------------------------------------------
 # dse
 # ----------------------------------------------------------------------
-def _pareto_front(evaluations) -> List[Dict]:
-    feasible = [e for e in evaluations if e.feasible]
-    if not feasible:
-        return []
-    fronts = non_dominated_sort([e.objectives() for e in feasible])
-    return [feasible[i].to_dict() for i in fronts[0]]
-
-
 def handle_dse(context: JobContext, request: Dict) -> Dict:
     """NSGA-II exploration with generation-by-generation Pareto fronts."""
     tech = get_technology(request.get("tech", "90nm"))
@@ -257,12 +249,16 @@ def handle_dse(context: JobContext, request: Dict) -> Dict:
 
     def on_generation(generation: int, evaluations) -> None:
         context.check_cancelled()
-        front = _pareto_front(evaluations)
+        feasible = [e for e in evaluations if e.feasible]
+        front = [
+            feasible[i].to_dict()
+            for i in pareto_front([e.objectives() for e in feasible])
+        ]
         context.emit(
             "generation",
             generation=generation,
             front_size=len(front),
-            feasible=sum(1 for e in evaluations if e.feasible),
+            feasible=len(feasible),
             pareto=front,
         )
         context.emit_metrics()

@@ -10,14 +10,24 @@ import pytest
 
 import repro.obs as obs
 from repro.__main__ import main
+from repro.exec import BACKEND_ENV, backbone
 from repro.fleet import CalibrationCache, FleetRunner, synthesize_fleet
 from repro.obs import read_jsonl
+from repro.trace import TraceRecorder
 
 
 @pytest.fixture(autouse=True)
 def _clean_obs():
     yield
     obs.reset()
+
+
+@pytest.fixture
+def process_backend(monkeypatch):
+    """Force genuine multi-process fan-out even on one-core hosts or
+    under ``REPRO_EXEC_BACKEND=serial``."""
+    monkeypatch.delenv(BACKEND_ENV, raising=False)
+    monkeypatch.setattr(backbone, "_cpu_count", lambda: 4)
 
 
 def _run_fleet(devices, jobs):
@@ -33,25 +43,40 @@ class TestFleetAggregation:
         assert m.counter("fleet.devices") == 3
         assert m.counter("fleet.runs") == 1
         assert m.counter("harvest.runs") == 3
-        assert m.histogram("fleet.device_seconds")["count"] == 3
+        assert m.histogram("fleet.elapsed")["count"] == 1
 
-    def test_parallel_counters_match_serial(self):
+    def test_parallel_counters_match_serial(self, process_backend):
+        obs.configure(metrics=True)
+        _run_fleet(devices=4, jobs=1)
+        serial = obs.OBS.metrics
+        obs.reset()
         obs.configure(metrics=True)
         _run_fleet(devices=4, jobs=2)
-        m = obs.OBS.metrics
+        parallel = obs.OBS.metrics
         # Every worker's task-local snapshot merged exactly once.
-        assert m.counter("fleet.devices") == 4
-        assert m.counter("harvest.runs") == 4
-        assert m.histogram("fleet.device_seconds")["count"] == 4
+        for name in ("fleet.devices", "fleet.runs", "harvest.runs", "harvest.steps"):
+            assert parallel.counter(name) == serial.counter(name), name
+        assert parallel.counter("harvest.runs") == parallel.counter("fleet.devices") == 4
 
-    def test_parallel_trace_lands_in_one_file(self, tmp_path):
+    def test_parallel_trace_lands_in_one_file(self, tmp_path, process_backend):
         path = str(tmp_path / "fleet.jsonl")
         obs.configure(trace_path=path, metrics=True)
         _run_fleet(devices=4, jobs=2)
         obs.reset()
         records = read_jsonl(path)
-        device_spans = [r for r in records if r.get("name") == "fleet.device"]
-        assert len(device_spans) == 4
+        names = [r.get("name") for r in records]
+        assert names.count("fleet.run") == 1
+        run_pid = next(r["pid"] for r in records if r.get("name") == "fleet.run")
+        harvest_spans = [r for r in records if r.get("name") == "harvest.run"]
+        assert len(harvest_spans) == 4
+        # The chunks ran in worker processes (the pool may hand both to one
+        # worker) and every worker appended to the one file.
+        chunk_pids = {
+            r["pid"] for r in records
+            if r.get("name") == "exec.chunk" and r["attrs"]["label"] == "fleet.batched"
+        }
+        assert len(chunk_pids) >= 1 and run_pid not in chunk_pids
+        assert {r["pid"] for r in harvest_spans} == chunk_pids
 
     def test_disabled_run_produces_identical_report(self):
         obs.reset()
@@ -59,6 +84,25 @@ class TestFleetAggregation:
         obs.configure(metrics=True)
         observed = _run_fleet(devices=3, jobs=1)
         assert observed.report.render() == baseline.report.render()
+
+    def test_armed_run_takes_the_batch_path(self):
+        """Observing a fleet never changes which code runs: an armed
+        40-device run goes through the lockstep kernel exactly like an
+        unarmed one, with the same report and the same recording."""
+        fleet = synthesize_fleet(40, duration=10.0)
+
+        def run():
+            rec = TraceRecorder()
+            result = FleetRunner(fleet, cache=CalibrationCache()).run(record=rec)
+            return result.report.render(), rec.recording
+
+        plain_render, plain_recording = run()
+        obs.configure(metrics=True)
+        armed_render, armed_recording = run()
+        assert obs.OBS.metrics.counter("batch.lanes") == 40
+        assert obs.OBS.metrics.counter("fleet.devices") == 40
+        assert armed_render == plain_render
+        assert armed_recording == plain_recording
 
 
 class TestCLITrace:
