@@ -1,18 +1,20 @@
 """``repro.serve`` — the long-lived simulation service.
 
-Failure-Sentinels simulations as traffic: a stdlib-only (``asyncio`` +
-raw sockets) HTTP job service that accepts fleet / DSE / experiment /
-characterization requests as the library's own ``to_dict`` JSON
-payloads, queues them through a bounded FIFO onto a worker pool, and
-streams incremental results — per-device :class:`DeviceResult`\\ s,
-generation-by-generation Pareto fronts, live obs counter snapshots — as
-NDJSON or SSE while the job runs.  Calibration and characterization
-caches are process-lifetime and shared across requests, so a warm
-server answers repeat workloads without re-paying SPICE.
+Failure-Sentinels simulations as traffic: a stdlib-only
+(``http.server.ThreadingHTTPServer``) HTTP job service that accepts
+fleet / DSE / experiment / characterization requests as the library's
+own ``to_dict`` JSON payloads, queues them through a bounded FIFO onto
+a worker pool, and streams incremental results — per-device
+:class:`DeviceResult`\\ s, generation-by-generation Pareto fronts, live
+obs counter snapshots — as NDJSON or SSE while the job runs.
+Calibration and characterization caches are process-lifetime and shared
+across requests, so a warm server answers repeat workloads without
+re-paying SPICE.
 
 Layering (modeled on a server/streaming/exporter split):
 
-* :mod:`repro.serve.app` — HTTP parsing, routing, the stream writer;
+* :mod:`repro.serve.app` — the stdlib HTTP transport, routing, the
+  stream writer;
 * :mod:`repro.serve.jobs` — queue, job state machine, worker pool,
   cancellation, the shared caches;
 * :mod:`repro.serve.streams` — NDJSON/SSE encoders and the bounded
@@ -34,6 +36,7 @@ from repro.serve.jobs import (
     Job,
     JobCancelled,
     JobContext,
+    JobEvictedError,
     JobManager,
     QueueFullError,
     UnknownJobError,
@@ -47,6 +50,7 @@ __all__ = [
     "Job",
     "JobCancelled",
     "JobContext",
+    "JobEvictedError",
     "JobManager",
     "QueueFullError",
     "ReproServer",

@@ -1,11 +1,12 @@
 """The HTTP face of the job service: routing, streaming, lifecycle.
 
-A deliberately small HTTP/1.1 server on raw ``asyncio`` streams — no
-frameworks, no new dependencies.  One accept loop, one coroutine per
-connection; compute never runs on the event loop (jobs execute on the
-:class:`~repro.serve.jobs.JobManager` worker threads and fan out through
-:mod:`repro.exec` process pools), so the loop only ever parses small
-requests and shovels bytes.
+The transport is the stdlib's :class:`http.server.ThreadingHTTPServer`
+with one :class:`~http.server.BaseHTTPRequestHandler` subclass — no
+frameworks, no new dependencies, no hand-written request parsing.  One
+thread per connection; compute never runs on those threads (jobs
+execute on the :class:`~repro.serve.jobs.JobManager` worker threads and
+fan out through :mod:`repro.exec` process pools), so a connection
+thread only ever reads a small request and shovels bytes.
 
 Routes (see ``docs/serving.md`` for the full API):
 
@@ -22,19 +23,20 @@ Routes (see ``docs/serving.md`` for the full API):
  DELETE    /jobs/<id>                 cancel
 ========  =========================  =======================================
 
-Streaming responses replay the job's full event history, then follow
-live events until the terminal ``end`` event.  The bridge from worker
-threads onto the event loop is ``loop.call_soon_threadsafe`` waking an
-``asyncio.Event`` per subscriber; the subscriber's bounded buffer (see
-:mod:`repro.serve.streams`) is what keeps a slow consumer from ever
-back-pressuring the compute path.
+Every error, including the stdlib parser's own rejections (400, 414,
+431, 501, 505), answers ``{"error": ...}`` JSON.  Streaming responses
+replay the job's full event history, then follow live events until the
+terminal ``end`` event; the writer thread sleeps on a per-subscriber
+:class:`threading.Event` that the job's publisher sets.  The
+subscriber's bounded buffer (see :mod:`repro.serve.streams`) is what
+keeps a slow consumer from ever back-pressuring the compute path.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -42,6 +44,7 @@ from repro import __version__
 from repro.errors import ConfigurationError
 from repro.obs import OBS
 from repro.serve.jobs import (
+    JobEvictedError,
     JobManager,
     QueueFullError,
     TERMINAL_STATES,
@@ -57,31 +60,10 @@ DEFAULT_PORT = 8733
 #: Largest accepted request body (a fleet spec for ~100k devices).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
-_REASONS = {
-    200: "OK",
-    202: "Accepted",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
-
-
-def _response(status: int, payload: Dict, extra_headers: Dict = None) -> bytes:
-    body = (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
-    headers = {
-        "Content-Type": "application/json",
-        "Content-Length": str(len(body)),
-        "Connection": "close",
-    }
-    if extra_headers:
-        headers.update(extra_headers)
-    head = f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n" + "".join(
-        f"{k}: {v}\r\n" for k, v in headers.items()
-    )
-    return head.encode("ascii") + b"\r\n" + body
+#: Per-connection socket deadline (seconds): a client that stalls this
+#: long mid-request is disconnected, as is a stream consumer that stops
+#: reading for this long.
+READ_TIMEOUT_S = 30.0
 
 
 class _HttpError(Exception):
@@ -90,6 +72,82 @@ class _HttpError(Exception):
     def __init__(self, status: int, message: str):
         super().__init__(message)
         self.status = status
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """One connection, one request; the app logic lives on ReproServer."""
+
+    protocol_version = "HTTP/1.1"
+    # Headers and body go out as separate small writes; without
+    # TCP_NODELAY, Nagle holds the second one until the client ACKs.
+    disable_nagle_algorithm = True
+    # The stdlib treats a request line without a version as HTTP/0.9 and
+    # answers it with no status line at all; every answer here has one.
+    default_request_version = "HTTP/1.0"
+
+    def setup(self) -> None:
+        self.timeout = READ_TIMEOUT_S  # read per connection, so it can be patched
+        super().setup()
+
+    def log_message(self, format, *args) -> None:  # noqa: A002 - stdlib signature
+        pass  # the service keeps stderr for its own output
+
+    def send_json(self, status: int, payload: Dict) -> None:
+        body = encode_ndjson(payload)  # one compact JSON line
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
+
+    def send_error(self, code: int, message=None, explain=None) -> None:
+        """The stdlib parser's rejections, in the service's JSON shape."""
+        self.send_json(code, {"error": message or self.responses[code][0]})
+
+    def read_body(self) -> bytes:
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            raise _HttpError(
+                400, f"Content-Length must be a non-negative integer, got {raw!r}"
+            )
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            raise _HttpError(413, f"request body over {MAX_BODY_BYTES} bytes")
+        body = self.rfile.read(length)
+        if len(body) < length:
+            raise _HttpError(400, f"request body is {len(body)} of {length} bytes")
+        return body
+
+    def dispatch(self) -> None:
+        try:
+            return self.server.app._route(self, self.read_body())
+        except _HttpError as exc:
+            status, error = exc.status, str(exc)
+        except JobEvictedError as exc:
+            status, error = 410, str(exc)
+        except UnknownJobError as exc:
+            status, error = 404, str(exc)
+        except OSError:
+            return  # the client went away, stalled, or stopped reading
+        except Exception as exc:  # noqa: BLE001 - a request must not kill the server
+            status, error = 500, f"{type(exc).__name__}: {exc}"
+        try:
+            self.send_json(status, {"error": error})
+        except OSError:
+            pass
+
+    do_GET = do_POST = do_DELETE = dispatch
+
+
+class _HTTPServer(ThreadingHTTPServer):
+    # An open event stream must not hold up stop(); its writer thread
+    # exits on its own once the server is down.
+    block_on_close = False
+
+    def __init__(self, app: "ReproServer"):
+        self.app = app
+        super().__init__((app.host, app.port), _Handler)
 
 
 class ReproServer:
@@ -115,140 +173,80 @@ class ReproServer:
         self.manager = manager or JobManager(
             workers=workers, queue_depth=queue_depth, buffer_limit=buffer_limit
         )
-        self._stop_event: Optional[asyncio.Event] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._httpd: Optional[_HTTPServer] = None
         self._ready = threading.Event()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def serve(self, on_ready=None) -> None:
-        """Run until :meth:`stop` is called (the coroutine entry point)."""
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        self.manager.start()
-        server = await asyncio.start_server(self._handle_client, self.host, self.port)
-        self.port = server.sockets[0].getsockname()[1]
-        self._ready.set()
-        if on_ready is not None:
-            on_ready(self)
-        try:
-            async with server:
-                await self._stop_event.wait()
-        finally:
-            self._ready.clear()
-            self.manager.stop()
-
     def run(self, on_ready=None) -> None:
-        """Blocking entry point (the CLI); Ctrl-C stops cleanly."""
+        """Blocking entry point: serve until :meth:`stop`; Ctrl-C stops cleanly."""
+        self.manager.start()
         try:
-            asyncio.run(self.serve(on_ready=on_ready))
+            self._httpd = _HTTPServer(self)
+            self.port = self._httpd.server_address[1]
+            self._ready.set()
+            if on_ready is not None:
+                on_ready(self)
+            self._httpd.serve_forever()
         except KeyboardInterrupt:
             pass
+        finally:
+            self._ready.clear()
+            httpd, self._httpd = self._httpd, None
+            if httpd is not None:
+                httpd.server_close()
+            self.manager.stop()
 
     def stop(self) -> None:
-        """Stop the accept loop (threadsafe)."""
-        if self._loop is not None and self._stop_event is not None:
-            self._loop.call_soon_threadsafe(self._stop_event.set)
+        """Stop the accept loop (threadsafe; returns once it has stopped)."""
+        httpd = self._httpd
+        if httpd is not None:
+            httpd.shutdown()
 
     @property
     def base_url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
     # ------------------------------------------------------------------
-    # One connection
-    # ------------------------------------------------------------------
-    async def _handle_client(self, reader, writer) -> None:
-        try:
-            method, path, headers, body = await self._read_request(reader)
-            await self._route(method, path, headers, body, writer)
-        except _HttpError as exc:
-            writer.write(_response(exc.status, {"error": str(exc)}))
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.IncompleteReadError,
-        ):
-            pass  # client went away; nothing to answer
-        except Exception as exc:  # noqa: BLE001 - a connection must not kill the loop
-            try:
-                writer.write(
-                    _response(500, {"error": f"{type(exc).__name__}: {exc}"})
-                )
-            except Exception:  # noqa: BLE001
-                pass
-        finally:
-            try:
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except Exception:  # noqa: BLE001
-                pass
-
-    async def _read_request(self, reader) -> Tuple[str, str, Dict[str, str], bytes]:
-        request_line = await reader.readline()
-        if not request_line:
-            raise _HttpError(400, "empty request")
-        try:
-            method, path, _version = request_line.decode("ascii").split()
-        except ValueError:
-            raise _HttpError(400, "malformed request line")
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
-        if length > MAX_BODY_BYTES:
-            raise _HttpError(400, f"request body over {MAX_BODY_BYTES} bytes")
-        body = await reader.readexactly(length) if length else b""
-        return method.upper(), path, headers, body
-
-    # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    async def _route(self, method, path, headers, body, writer) -> None:
-        split = urlsplit(path)
+    def _route(self, request: _Handler, body: bytes) -> None:
+        method = request.command
+        split = urlsplit(request.path)
         query = parse_qs(split.query)
         parts = [p for p in split.path.split("/") if p]
         if parts == ["healthz"] and method == "GET":
-            return self._send(writer, 200, self._health())
+            return request.send_json(200, self._health())
         if parts == ["metrics"] and method == "GET":
-            return self._send(writer, 200, self._metrics())
+            return request.send_json(200, self._metrics())
         if parts == ["jobs"]:
             if method == "POST":
-                return self._send(writer, *self._submit(body))
+                return request.send_json(*self._submit(body))
             if method == "GET":
-                return self._send(
-                    writer, 200, {"jobs": [j.to_dict() for j in self.manager.jobs()]}
+                return request.send_json(
+                    200, {"jobs": [j.to_dict() for j in self.manager.jobs()]}
                 )
             raise _HttpError(405, f"{method} not allowed on /jobs")
         if len(parts) >= 2 and parts[0] == "jobs":
             job_id = parts[1]
-            try:
-                job = self.manager.get(job_id)
-            except UnknownJobError as exc:
-                raise _HttpError(404, str(exc))
+            job = self.manager.get(job_id)  # 404 unknown, 410 evicted
             if len(parts) == 2:
                 if method == "GET":
-                    return self._send(writer, 200, job.to_dict())
+                    return request.send_json(200, job.to_dict())
                 if method == "DELETE":
-                    return self._send(
-                        writer, 200, self.manager.cancel(job_id).to_dict()
+                    return request.send_json(
+                        200, self.manager.cancel(job_id).to_dict()
                     )
                 raise _HttpError(405, f"{method} not allowed on /jobs/<id>")
             if parts[2] == "result" and method == "GET":
-                return self._send(writer, *self._result(job))
+                return request.send_json(*self._result(job))
             if parts[2] == "stream" and method == "GET":
-                sse = "sse" in query or "text/event-stream" in headers.get("accept", "")
-                return await self._stream(job_id, writer, sse=sse)
+                accept = request.headers.get("Accept", "")
+                sse = "sse" in query or "text/event-stream" in accept
+                return self._stream(job_id, request, sse=sse)
             raise _HttpError(404, f"unknown endpoint /jobs/<id>/{parts[2]}")
         raise _HttpError(404, f"unknown path {split.path!r}")
-
-    def _send(self, writer, status: int, payload: Dict, headers: Dict = None) -> None:
-        writer.write(_response(status, payload, headers))
 
     # ------------------------------------------------------------------
     # Endpoints
@@ -297,48 +295,37 @@ class ReproServer:
     # ------------------------------------------------------------------
     # Streaming
     # ------------------------------------------------------------------
-    async def _stream(self, job_id: str, writer, sse: bool) -> None:
-        loop = asyncio.get_running_loop()
-        wake = asyncio.Event()
-        job, subscriber, replay = self.manager.subscribe(
-            job_id, notify=lambda: loop.call_soon_threadsafe(wake.set)
-        )
+    def _stream(self, job_id: str, request: _Handler, sse: bool) -> None:
+        wake = threading.Event()
+        job, subscriber, replay = self.manager.subscribe(job_id, notify=wake.set)
         encode = encode_sse if sse else encode_ndjson
-        content_type = "text/event-stream" if sse else "application/x-ndjson"
-        writer.write(
-            (
-                "HTTP/1.1 200 OK\r\n"
-                f"Content-Type: {content_type}\r\n"
-                "Cache-Control: no-store\r\n"
-                "Connection: close\r\n\r\n"
-            ).encode("ascii")
-        )
-        ended = False
         try:
-            for event in replay:
-                writer.write(encode(event))
-                ended = ended or event.get("event") == "end"
-            await writer.drain()
+            request.send_response(200)
+            request.send_header(
+                "Content-Type", "text/event-stream" if sse else "application/x-ndjson"
+            )
+            request.send_header("Cache-Control", "no-store")
+            request.send_header("Connection", "close")
+            request.end_headers()
+            request.wfile.write(b"".join(encode(event) for event in replay))
+            ended = any(event.get("event") == "end" for event in replay)
             while not ended:
                 batch = subscriber.drain()
                 if not batch:
-                    # The 0.5 s timeout is a liveness backstop (e.g. the
-                    # manager shutting down mid-stream), not the normal
-                    # wake path.
-                    try:
-                        await asyncio.wait_for(wake.wait(), timeout=0.5)
-                    except asyncio.TimeoutError:
-                        if job.state in TERMINAL_STATES and not len(subscriber):
-                            break
+                    # The 0.5 s timeout is a liveness backstop (the server
+                    # stopping mid-stream), not the normal wake path.
+                    if not wake.wait(timeout=0.5) and (
+                        not self._ready.is_set()
+                        or (job.state in TERMINAL_STATES and not len(subscriber))
+                    ):
+                        break
                     wake.clear()
                     continue
-                for event in batch:
-                    writer.write(encode(event))
-                    ended = ended or event.get("event") == "end"
                 # Back-pressure lands HERE, on this subscriber's socket
                 # only — the job keeps publishing into the bounded
-                # buffer (dropping oldest) while we wait.
-                await writer.drain()
+                # buffer (dropping oldest) while the write blocks.
+                request.wfile.write(b"".join(encode(event) for event in batch))
+                ended = any(event.get("event") == "end" for event in batch)
         finally:
             job.unsubscribe(subscriber)
 

@@ -15,7 +15,9 @@ A :class:`JobManager` owns everything long-lived in the service:
   job, so the second identical characterization-backed request is a
   cache hit instead of a SPICE re-solve;
 * the **job registry** with full event history per job, replayed to
-  late stream subscribers.
+  late stream subscribers.  Queued and running jobs always stay; of the
+  finished ones only the newest :data:`MAX_FINISHED_JOBS` are kept, and
+  a request for an evicted id raises :class:`JobEvictedError` (HTTP 410).
 
 Job states move ``queued -> running -> done | failed | cancelled``
 (queued jobs may go straight to ``cancelled``).  Cancellation is
@@ -48,7 +50,9 @@ __all__ = [
     "Job",
     "JobCancelled",
     "JobContext",
+    "JobEvictedError",
     "JobManager",
+    "MAX_FINISHED_JOBS",
     "QueueFullError",
     "UnknownJobError",
 ]
@@ -61,6 +65,15 @@ TERMINAL_STATES = ("done", "failed", "cancelled")
 #: pool between waves.
 WAVE_FACTOR = 4
 
+#: Finished (done/failed/cancelled) jobs kept in the registry, with
+#: their event history and result; older ones are evicted first.
+MAX_FINISHED_JOBS = 1024
+
+
+def _job_id(n: int) -> str:
+    """The id of the ``n``-th submitted job (``j000001``, ...)."""
+    return f"j{n:06d}"
+
 
 class JobCancelled(ReproError):
     """Raised inside a handler when its job's cancel flag is set."""
@@ -72,6 +85,10 @@ class QueueFullError(ReproError):
 
 class UnknownJobError(ReproError):
     """No job with the requested id exists (HTTP 404)."""
+
+
+class JobEvictedError(UnknownJobError):
+    """The job existed but was evicted after finishing (HTTP 410)."""
 
 
 class Job:
@@ -295,8 +312,9 @@ class JobManager:
         self._cond = threading.Condition()
         self._queue: deque = deque()
         self._jobs: Dict[str, Job] = {}
+        self._finished: deque = deque()  # terminal job ids, oldest first
         self._threads: List[threading.Thread] = []
-        self._counter = itertools.count(1)
+        self._issued = 0
         self._shutdown = False
 
     # ------------------------------------------------------------------
@@ -343,7 +361,8 @@ class JobManager:
                 raise QueueFullError(
                     f"job queue full ({self.queue_depth} queued); retry later"
                 )
-            job = Job(f"j{next(self._counter):06d}", kind, request)
+            self._issued += 1
+            job = Job(_job_id(self._issued), kind, request)
             self._jobs[job.job_id] = job
             # Publish before a worker can claim the job, so the event
             # history always starts with the queued transition.
@@ -356,6 +375,13 @@ class JobManager:
     def get(self, job_id: str) -> Job:
         job = self._jobs.get(job_id)
         if job is None:
+            digits = job_id[1:]
+            n = int(digits) if digits.isascii() and digits.isdigit() else 0
+            if 0 < n <= self._issued and job_id == _job_id(n):
+                raise JobEvictedError(
+                    f"job {job_id!r} finished and was evicted "
+                    f"(the newest {MAX_FINISHED_JOBS} finished jobs are kept)"
+                )
             raise UnknownJobError(f"no such job {job_id!r}")
         return job
 
@@ -398,12 +424,17 @@ class JobManager:
 
     # ------------------------------------------------------------------
     def _finish(self, job: Job, state: str) -> None:
-        """Terminal transition + the stream's closing ``end`` event."""
+        """Terminal transition + the stream's closing ``end`` event, then
+        evict the oldest finished jobs past :data:`MAX_FINISHED_JOBS`."""
         job.state = state
         job.finished = time.time()
         job._finished_pc = time.perf_counter()
         job.publish({"event": "end", "state": state})
         OBS.metrics.incr(f"serve.jobs_{state}")
+        with self._cond:
+            self._finished.append(job.job_id)
+            while len(self._finished) > MAX_FINISHED_JOBS:
+                del self._jobs[self._finished.popleft()]
 
     def _worker(self) -> None:
         while True:

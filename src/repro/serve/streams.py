@@ -56,9 +56,9 @@ class Subscriber:
     """One stream consumer's bounded event buffer.
 
     ``notify`` (optional) is called after every :meth:`push`, outside
-    the buffer lock — the HTTP layer points it at
-    ``loop.call_soon_threadsafe`` to wake the writer coroutine.  It must
-    be cheap and must not raise.
+    the buffer lock — the HTTP layer points it at a
+    :class:`threading.Event`'s ``set`` to wake the stream writer thread.
+    It must be cheap and must not raise.
     """
 
     def __init__(

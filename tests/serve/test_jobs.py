@@ -7,10 +7,12 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.serve import jobs as jobs_module
 from repro.serve.jobs import (
     JOB_STATES,
     TERMINAL_STATES,
     JobCancelled,
+    JobEvictedError,
     JobManager,
     QueueFullError,
     UnknownJobError,
@@ -91,6 +93,42 @@ class TestLifecycle:
             with pytest.raises(UnknownJobError):
                 manager.get("j999999")
         finally:
+            manager.stop()
+
+
+class TestRetention:
+    """Finished jobs are evicted oldest-first past MAX_FINISHED_JOBS;
+    queued and running jobs never are."""
+
+    def test_oldest_finished_jobs_evicted(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 2)
+        release = threading.Event()
+        manager = _manager(
+            {"noop": lambda ctx, req: {}, "hold": lambda ctx, req: release.wait(10.0)},
+            workers=2,
+        )
+        try:
+            held = manager.submit("hold", {})
+            _wait_state(held, ("running",))
+            done = [manager.submit("noop", {}) for _ in range(4)]
+            for job in done:
+                _wait_state(job, TERMINAL_STATES)
+            kept = [j.job_id for j in manager.jobs()]
+            assert kept == [held.job_id] + [j.job_id for j in done[-2:]]
+            for job in done[:2]:
+                with pytest.raises(JobEvictedError, match="evicted"):
+                    manager.get(job.job_id)
+            # Never-issued ids stay plain unknowns (HTTP 404, not 410).
+            for job_id in ("j000099", "j000000", "j1", "nope", "j\u00b2"):
+                with pytest.raises(UnknownJobError) as excinfo:
+                    manager.get(job_id)
+                assert not isinstance(excinfo.value, JobEvictedError)
+            # The running job survived every eviction and finishes normally.
+            release.set()
+            assert _wait_state(held, TERMINAL_STATES) == "done"
+            assert manager.get(held.job_id) is held
+        finally:
+            release.set()
             manager.stop()
 
 
