@@ -28,16 +28,15 @@ measure-zero divergence: when a lane lands within 1e-12 s of the trace
 end while still charging, the scalar engine takes one spurious
 sub-nanosecond restore step while the kernel retires the lane.
 
-State-machine differences that do *not* change numbers: per-lane *obs*
-events (``harvest.power_on`` etc.) are not emitted — the dispatcher
-reports aggregate metrics instead.  Recording is different: with a
-``record=`` sink (the :mod:`repro.trace` seam) the kernel extracts one
-event per lane transition from the commit masks — ``promote`` is a
-lane's power_on, ``to_ck`` its checkpoint, ``died_ck`` its power
-failure, ``ck_off`` its power_off — tagged with the caller's lane
-index, at the post-step time/voltage the fast scalar engine would
-report.  The extraction only runs when recording, so the record-off
-hot loop is unchanged.
+Transition events: when the tracer is armed or a ``record=`` sink (the
+:mod:`repro.trace` seam) is given, the kernel extracts one event per
+lane transition from the commit masks — ``promote`` is a lane's
+power_on, ``to_ck`` its checkpoint, ``died_ck`` its power failure,
+``ck_off`` its power_off — tagged with the caller's lane index, at the
+post-step time/voltage the fast scalar engine would report, and sends
+it through one :func:`repro.obs.emitter` (``harvest.*`` trace events
+and recording events alike).  The extraction only runs when someone
+listens, so the unobserved hot loop is unchanged.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ import numpy as np
 from repro.errors import ConfigurationError, SimulationError
 from repro.harvest.capacitor import BufferCapacitor
 from repro.harvest.simulator import SimulationReport
+from repro.obs import emitter
 
 _OFF, _RESTORE, _RUNNING, _CHECKPOINT, _DONE = 0, 1, 2, 3, 4
 
@@ -70,16 +70,16 @@ class BatchHarvestEngine:
         """Advance every scenario to its trace end; reports in input order.
 
         ``record`` is the :mod:`repro.trace` sink receiving per-lane
-        transition events; ``lanes`` maps kernel lane positions to the
-        caller's lane indices (the dispatcher's input order), so a
-        recording of a mixed batch/scalar evaluation tags every event
-        with one consistent lane numbering.
+        transition events (so does the armed tracer); ``lanes`` maps
+        kernel lane positions to the caller's lane indices (the
+        dispatcher's input order), so a recording of a mixed
+        batch/scalar evaluation tags every event with one consistent
+        lane numbering.
         """
         self.last_iterations = 0
         scenarios = list(scenarios)
         if not scenarios:
             return []
-        rec = record
         lane_ids = list(lanes) if lanes is not None else list(range(len(scenarios)))
         if len(lane_ids) != len(scenarios):
             raise ConfigurationError("lanes must map every scenario to a lane index")
@@ -91,6 +91,11 @@ class BatchHarvestEngine:
                     "the batch kernel implements the fast engine's semantics; "
                     f"scenario asks for {scenario.scalar_engine!r}"
                 )
+        emit = emitter("harvest", record)
+
+        def emit_lanes(kind, mask, t_at, v_at):
+            for i in np.nonzero(mask)[0]:
+                emit(kind, t=float(t_at[i]), lane=lane_ids[i], v=float(v_at[i]))
 
         n = len(scenarios)
         # Constructing the scalar simulator per lane is cheap and
@@ -199,14 +204,8 @@ class BatchHarvestEngine:
                 # scalar engine's `while ... voltage < v_on` guard.
                 promote = off_m & (v >= v_on)
                 if cnz(promote):
-                    if rec is not None:
-                        for i in np.nonzero(promote)[0]:
-                            rec.event(
-                                "power_on",
-                                t=float(t[i]),
-                                lane=lane_ids[i],
-                                v=float(v[i]),
-                            )
+                    if emit is not None:
+                        emit_lanes("power_on", promote, t, v)
                     state[promote] = _RESTORE
                     copyto(phase_left, restore_time, where=promote)
                     off_m &= ~promote
@@ -378,14 +377,8 @@ class BatchHarvestEngine:
                     to_ck = is_run & (v_new <= v_ckpt)
                     n_ck = cnz(to_ck)
                     if n_ck:
-                        if rec is not None:
-                            for i in np.nonzero(to_ck)[0]:
-                                rec.event(
-                                    "checkpoint",
-                                    t=float(t_next[i]),
-                                    lane=lane_ids[i],
-                                    v=float(v_new[i]),
-                                )
+                        if emit is not None:
+                            emit_lanes("checkpoint", to_ck, t_next, v_new)
                         state[to_ck] = _CHECKPOINT
                         checkpoints += to_ck
                     if not all_run:
@@ -402,21 +395,9 @@ class BatchHarvestEngine:
                         to_run = (is_rest & ~lowv) & pl_le
                         died_ck = is_ck & lowv
                         ck_off = (is_ck & ~lowv) & pl_le
-                        if rec is not None:
-                            for i in np.nonzero(died_ck)[0]:
-                                rec.event(
-                                    "power_failure",
-                                    t=float(t_next[i]),
-                                    lane=lane_ids[i],
-                                    v=float(v_new[i]),
-                                )
-                            for i in np.nonzero(ck_off)[0]:
-                                rec.event(
-                                    "power_off",
-                                    t=float(t_next[i]),
-                                    lane=lane_ids[i],
-                                    v=float(v_new[i]),
-                                )
+                        if emit is not None:
+                            emit_lanes("power_failure", died_ck, t_next, v_new)
+                            emit_lanes("power_off", ck_off, t_next, v_new)
                         go_off = (died_rest | died_ck) | ck_off
                         if cnz(go_off):
                             state[go_off] = _OFF

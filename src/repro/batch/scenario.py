@@ -14,6 +14,7 @@ scenario through it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple
 
@@ -84,6 +85,9 @@ class Scenario:
             raise ConfigurationError(
                 f"unknown scalar engine {self.scalar_engine!r}; choose from {SCALAR_ENGINES}"
             )
+        for name in ("capacitance", "dt", "v_initial", "v_ckpt_margin", "v_on", "leakage"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dt <= 0:
             raise ConfigurationError("scenario dt must be positive")
         if self.v_ckpt_margin < 0:

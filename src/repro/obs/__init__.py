@@ -27,7 +27,7 @@ every fan-out in the library.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.obs.metrics import Metrics
 from repro.obs.sinks import JsonlSink, MemorySink, NullSink, read_jsonl
@@ -44,6 +44,7 @@ __all__ = [
     "read_jsonl",
     "configure",
     "configure_from_spec",
+    "emitter",
     "reset",
     "spec",
 ]
@@ -121,3 +122,24 @@ def configure_from_spec(obs_spec: ObsSpec) -> None:
     if OBS._spec == obs_spec:
         return
     configure(trace_path=obs_spec.trace_path, metrics=obs_spec.metrics_enabled)
+
+
+def emitter(family: str, record=None) -> Optional[Callable[..., None]]:
+    """One run's transition emitter, or ``None`` if nobody listens.
+
+    ``emit(kind, t, **payload)`` sends ``family.kind`` to the armed
+    tracer and ``kind`` to the ``record=`` sink (:mod:`repro.trace`), so
+    both see one event stream; engines guard each site on ``None``.
+    """
+    tracer = OBS.tracer if OBS.tracer.enabled else None
+    if tracer is None and record is None:
+        return None
+    prefix = family + "."
+
+    def emit(kind: str, t: float, **payload) -> None:
+        if tracer is not None:
+            tracer.event(prefix + kind, t=t, **payload)
+        if record is not None:
+            record.event(kind, t=t, **payload)
+
+    return emit

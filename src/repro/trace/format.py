@@ -209,10 +209,13 @@ class Recording:
 
     @classmethod
     def load(cls, path: str) -> "Recording":
+        """Read a recording back; any malformed input is a
+        :class:`ConfigurationError` naming ``path:line``."""
         header: Optional[TraceHeader] = None
         events: List[TraceEvent] = []
         result: Optional[Dict[str, Any]] = None
         result_digest = ""
+        lineno = 0
         try:
             with _open_text(path, "r") as fh:
                 for lineno, line in enumerate(fh, start=1):
@@ -226,15 +229,25 @@ class Recording:
                             f"{path}:{lineno}: not a repro.trace recording "
                             "(bad JSON line)"
                         )
-                    if "header" in row:
-                        header = TraceHeader.from_dict(row["header"])
-                    elif "event" in row:
-                        events.append(TraceEvent.from_dict(row["event"]))
-                    elif "result" in row:
-                        result = row["result"]
-                        result_digest = row.get("result_digest", "")
+                    try:
+                        if "header" in row:
+                            header = TraceHeader.from_dict(row["header"])
+                        elif "event" in row:
+                            events.append(TraceEvent.from_dict(row["event"]))
+                        elif "result" in row:
+                            result = row["result"]
+                            result_digest = row.get("result_digest", "")
+                    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                        raise ConfigurationError(
+                            f"{path}:{lineno}: malformed recording row "
+                            f"({type(exc).__name__}: {exc})"
+                        )
         except OSError as exc:  # missing file, permissions, bad gzip
             raise ConfigurationError(f"cannot read recording {path}: {exc}")
+        except EOFError:
+            raise ConfigurationError(
+                f"{path}:{lineno + 1}: truncated recording (compressed stream ends early)"
+            )
         except UnicodeDecodeError:
             raise ConfigurationError(
                 f"{path}: not a repro.trace recording (binary data)"

@@ -2,9 +2,11 @@
 
 Every engine run loop accepts ``record=`` — any object implementing the
 three-method :class:`TraceSink` protocol.  Engines never import this
-module; they just call ``record.begin(...)`` / ``record.event(...)`` /
-``record.finish(...)`` behind an ``is not None`` guard, so record-off
-overhead is one pointer test per event site.
+module: their ``run()`` calls ``record.begin(...)`` and
+``record.finish(...)`` around the loop, and the loop's transitions
+reach ``record.event(...)`` through :func:`repro.obs.emitter`, which
+also feeds the armed tracer.  With neither armed the emitter is
+``None``, so the record-off loop pays one pointer test per event site.
 
 :class:`TraceRecorder` is the standard sink: it accumulates a
 :class:`~repro.trace.format.Recording` in memory and/or streams JSONL

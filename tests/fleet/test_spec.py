@@ -135,3 +135,17 @@ class TestTraceGeneratorContract:
         for name, gen in sorted(TRACE_GENERATORS.items()):
             a, b = gen(20.0, 1), gen(20.0, 2)
             assert a.duration == pytest.approx(b.duration, rel=0.05), name
+
+
+class TestNonFiniteFields:
+    """NaN slips past ``x <= 0`` checks; every float field rejects it."""
+
+    FIELDS = ("panel_area_cm2", "capacitance", "trace_duration", "trace_scale", "dt")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_from_dict_rejects(self, field, value):
+        payload = synthesize_fleet(3, seed=7).devices[1].to_dict()
+        payload[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            DeviceSpec.from_dict(payload)

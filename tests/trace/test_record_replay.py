@@ -253,3 +253,56 @@ class TestLoadErrors:
 
         with pytest.raises(ConfigurationError, match="cannot read"):
             Recording.load(str(tmp_path / "missing.jsonl"))
+
+
+def _corrupt(tmp_path, how):
+    """Write a recording damaged one way; returns its path."""
+    import json
+
+    recording = _record_scenario()
+    header = {"header": recording.header.to_dict()}
+    event = {"event": recording.events[0].to_dict()}
+    if how == "truncated_gz":
+        path = tmp_path / "bad.jsonl.gz"
+        recording.save(str(path))
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        return path
+    if how == "non_object_line":
+        lines = [header, 5]
+    elif how == "header_missing_engine":
+        del header["header"]["engine"]
+        lines = [header]
+    else:  # event_missing_seq
+        del event["event"]["seq"]
+        lines = [header, event]
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+CORRUPTIONS = {
+    "truncated_gz": r"bad\.jsonl\.gz:\d+: truncated",
+    "non_object_line": r"bad\.jsonl:2: malformed .*int",
+    "header_missing_engine": r"bad\.jsonl:1: malformed .*engine",
+    "event_missing_seq": r"bad\.jsonl:2: malformed .*seq",
+}
+
+
+class TestCorruptRecordings:
+    """Damaged recordings name ``path:line`` in a ConfigurationError."""
+
+    @pytest.mark.parametrize("how", sorted(CORRUPTIONS))
+    def test_load_names_the_line(self, tmp_path, how):
+        from repro.trace import Recording
+
+        with pytest.raises(ConfigurationError, match=CORRUPTIONS[how]):
+            Recording.load(str(_corrupt(tmp_path, how)))
+
+    def test_replay_cli_exits_2(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["replay", str(_corrupt(tmp_path, "truncated_gz"))])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
