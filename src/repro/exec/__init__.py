@@ -2,7 +2,7 @@
 
 The only module in the library allowed to touch
 ``concurrent.futures`` (CI lints for strays); every subsystem fan-out
-— ``batch.evaluate_many``, both ``FleetRunner`` paths,
+— ``batch.evaluate_many``, the fleet shard loop,
 ``charlib.characterize_many``, the experiments runner — routes through
 :func:`run_tasks`.  See ``docs/parallelism.md`` for the contract.
 """

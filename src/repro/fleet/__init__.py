@@ -24,12 +24,7 @@ mode) on the command line, the ``ext_fleet`` experiment, and
 from repro.fleet.cache import CalibrationCache, CalibrationRecord, build_record
 from repro.fleet.planner import DeploymentPlanner, SiteAssignment, SiteRequirement
 from repro.fleet.report import DeviceResult, FleetReport, percentile
-from repro.fleet.runner import (
-    FleetRunner,
-    FleetRunResult,
-    run_fleet,
-    simulate_devices,
-)
+from repro.fleet.runner import FleetRunner, FleetRunResult, run_fleet
 from repro.fleet.spec import (
     DeviceSpec,
     ENGINES,
@@ -47,6 +42,7 @@ from repro.fleet.stream import (
     ReservoirSketch,
     StratifiedSampler,
     StreamingMoments,
+    simulate_devices,
     stream_fleet,
 )
 

@@ -1,68 +1,39 @@
-"""Parallel fleet execution.
+"""Exact fleet execution.
 
 :class:`FleetRunner` turns a :class:`~repro.fleet.spec.FleetSpec` into a
-:class:`~repro.fleet.report.FleetReport`:
+:class:`~repro.fleet.report.FleetReport` by running the whole fleet as
+*one shard* of :func:`repro.fleet.stream.iter_shards`, the fleet shard
+loop :func:`~repro.fleet.stream.stream_fleet` and the serve ``fleet``
+job share:
 
-1. resolve every unique calibration key through the shared
+1. every device's calibration key resolves through the shared
    :class:`~repro.fleet.cache.CalibrationCache` *in the parent process*
    (devices sharing a tech node + monitor design enroll exactly once);
-2. fan the devices out through the :mod:`repro.exec` backbone in one
-   contiguous chunk per worker (or serially when ``parallel <= 1``,
-   the deterministic mode tests use), each chunk replayed by
-   :func:`simulate_devices` — :func:`repro.exec.run_tasks` owns
-   chunking, worker-count resolution, and worker metrics merging.
-   This is the one execution path: arming :mod:`repro.obs` adds the
-   ``fleet.run`` span and run-boundary counters around it, never a
-   different code path;
-3. aggregate results in device-id order, so serial and parallel runs
-   produce byte-identical reports.
-
-The worker functions are module-level and their payloads are all frozen
-dataclasses of primitives, which is what makes the fan-out picklable.
+2. the devices fan out through the :mod:`repro.exec` backbone in one
+   contiguous chunk per worker (serially when ``parallel <= 1``), each
+   chunk replayed by :func:`~repro.fleet.stream.simulate_devices`.
+   Arming :mod:`repro.obs` adds the ``fleet.run`` span and
+   run-boundary counters around it, never a different code path;
+3. results come back in device-id order, so serial and parallel runs
+   produce byte-identical reports.  :func:`record_fleet_run` writes
+   the ``mode: run`` recording.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.batch import ENGINES as EVAL_ENGINES
-from repro.batch import Scenario, evaluate_many
 from repro.errors import ConfigurationError
-from repro.exec import run_tasks
-from repro.fleet.cache import CalibrationCache, CalibrationRecord
+from repro.fleet.cache import CalibrationCache
 from repro.fleet.report import DeviceResult, FleetReport
-from repro.fleet.spec import DeviceSpec, FleetSpec
-from repro.harvest.monitors import MonitorModel
+from repro.fleet.spec import FleetSpec
+from repro.fleet.stream import DEFAULT_RESERVOIR_CAPACITY, DEFAULT_SHARD_SIZE
+from repro.fleet.stream import iter_shards, stream_fleet
 from repro.obs import OBS
 from repro.trace.format import payload_digest
-
-
-def simulate_devices(
-    work: List[Tuple[DeviceSpec, MonitorModel]], engine: str = "auto"
-) -> List[DeviceResult]:
-    """Replay many devices at once through the unified evaluator.
-
-    Builds one :class:`~repro.batch.Scenario` per device and hands the
-    lot to :func:`repro.batch.evaluate_many`; with ``engine="auto"``
-    large homogeneous chunks vectorize through the numpy kernel while
-    small or reference-engine chunks fall back to the scalar engines —
-    either way the results are bit-identical to the one-device scalar
-    path (the kernel's equivalence contract).
-    """
-    scenarios = [Scenario.from_device(device, monitor) for device, monitor in work]
-    reports = evaluate_many(scenarios, engine=engine)
-    return [
-        DeviceResult.from_report(
-            device_id=device.device_id,
-            policy=device.policy,
-            engine=device.engine,
-            report=report,
-        )
-        for (device, _monitor), report in zip(work, reports)
-    ]
 
 
 @dataclass
@@ -107,25 +78,6 @@ class FleetRunner:
         self.cache = cache if cache is not None else CalibrationCache()
         self.eval_engine = eval_engine
 
-    # ------------------------------------------------------------------
-    def resolve_calibrations(self) -> Dict[Tuple, CalibrationRecord]:
-        """Enroll every unique monitor design once, in the parent."""
-        return {key: self.cache.get(key) for key in self.fleet.calibration_keys()}
-
-    def _work_items(self) -> List[Tuple[DeviceSpec, MonitorModel]]:
-        if self.cache.enabled:
-            records = self.resolve_calibrations()
-            return [
-                (device, records[device.calibration_key()].model)
-                for device in self.fleet.devices
-            ]
-        # Cache-off baseline: every device pays a cold enrollment, the
-        # way the single-device simulator API does today.
-        return [
-            (device, self.cache.get(device.calibration_key()).model)
-            for device in self.fleet.devices
-        ]
-
     def run(self, record=None) -> FleetRunResult:
         """Execute the fleet.
 
@@ -145,31 +97,41 @@ class FleetRunner:
             devices=len(self.fleet.devices),
             parallel=self.parallel,
         ) as span:
-            # One contiguous chunk per worker: the kernel's throughput
-            # grows with lane count, so each worker should see the
-            # biggest batch load-balancing allows.
-            results = run_tasks(
-                functools.partial(simulate_devices, engine=self.eval_engine),
-                self._work_items(),
+            # One shard of the whole fleet, so each worker gets one
+            # contiguous chunk: the kernel's throughput grows with lane
+            # count, so each worker should see the biggest batch
+            # load-balancing allows.
+            [(_shard, results)] = iter_shards(
+                self.fleet.devices,
+                shard_size=len(self.fleet),
                 parallel=self.parallel,
-                chunked=True,
-                chunk="even",
+                cache=self.cache,
+                eval_engine=self.eval_engine,
                 label="fleet.batched",
             )
-            run_result = self._finish(results, start, record=record)
+            report = FleetReport(fleet_name=self.fleet.name, results=results)
+            if record is not None:
+                record_fleet_run(
+                    record, self.fleet, self.eval_engine, results, report=report
+                )
+            elapsed = time.perf_counter() - start
             cache_hits = self.cache.stats.hits - hits0
             cache_misses = self.cache.stats.misses - misses0
             span.set(
-                elapsed=run_result.elapsed,
-                cache_hits=cache_hits,
-                cache_misses=cache_misses,
+                elapsed=elapsed, cache_hits=cache_hits, cache_misses=cache_misses
             )
         OBS.metrics.incr("fleet.runs")
         OBS.metrics.incr("fleet.devices", len(results))
-        OBS.metrics.observe("fleet.elapsed", run_result.elapsed)
+        OBS.metrics.observe("fleet.elapsed", elapsed)
         OBS.metrics.incr("fleet.cache_hits", cache_hits)
         OBS.metrics.incr("fleet.cache_misses", cache_misses)
-        return run_result
+        return FleetRunResult(
+            report=report,
+            elapsed=elapsed,
+            jobs=self.parallel,
+            cache_entries=len(self.cache),
+            cache_summary=self.cache.stats.summary(),
+        )
 
     def run_streaming(
         self,
@@ -191,16 +153,7 @@ class FleetRunner:
         energy totals are exact at *any* size).  See
         :func:`repro.fleet.stream.stream_fleet` for the knobs.
         """
-        # Late import: stream builds on this module, so the dependency
-        # must point one way at import time.
-        from repro.fleet import stream
-
-        kwargs = {}
-        if shard_size is not None:
-            kwargs["shard_size"] = shard_size
-        if capacity is not None:
-            kwargs["capacity"] = capacity
-        return stream.stream_fleet(
+        return stream_fleet(
             self.fleet.devices,
             name=self.fleet.name,
             parallel=self.parallel,
@@ -208,26 +161,10 @@ class FleetRunner:
             eval_engine=self.eval_engine,
             sample=sample,
             sample_seed=sample_seed,
+            shard_size=DEFAULT_SHARD_SIZE if shard_size is None else shard_size,
+            capacity=DEFAULT_RESERVOIR_CAPACITY if capacity is None else capacity,
             on_shard=on_shard,
             record=record,
-            **kwargs,
-        )
-
-    def _finish(
-        self, results: List[DeviceResult], start: float, record=None
-    ) -> FleetRunResult:
-        report = FleetReport(fleet_name=self.fleet.name, results=results)
-        if record is not None:
-            record_fleet_run(
-                record, self.fleet, self.eval_engine, results, report=report
-            )
-        elapsed = time.perf_counter() - start
-        return FleetRunResult(
-            report=report,
-            elapsed=elapsed,
-            jobs=self.parallel,
-            cache_entries=len(self.cache),
-            cache_summary=self.cache.stats.summary(),
         )
 
 
@@ -236,8 +173,8 @@ def record_fleet_run(
     fleet: FleetSpec,
     eval_engine: str,
     results: List[DeviceResult],
-    report: Optional[FleetReport] = None,
-) -> FleetReport:
+    report: FleetReport,
+) -> None:
     """Write one ``mode: run`` fleet recording from materialized results.
 
     The single source of truth for the fleet-run recording layout —
@@ -246,8 +183,6 @@ def record_fleet_run(
     ``results`` must be in ``fleet.devices`` order.  Wall-clock metadata
     stays out: the recording is a pure function of the fleet spec.
     """
-    if report is None:
-        report = FleetReport(fleet_name=fleet.name, results=results)
     record.begin(
         "fleet",
         eval_engine,
@@ -262,7 +197,6 @@ def record_fleet_run(
             power_failures=result.power_failures,
         )
     record.finish({"report": report.to_dict()})
-    return report
 
 
 def run_fleet(

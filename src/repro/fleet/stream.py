@@ -12,10 +12,12 @@ path:
   one :class:`FleetSketch`.  Every sketch supports ``merge()`` and a
   JSON ``to_dict()``/``from_dict()`` round trip, so shard-local sketches
   fold into one fleet answer;
-* **a shard loop** — :func:`stream_fleet` pulls devices from any
-  iterable (a generator for synthetic fleets), simulates one shard at a
-  time on top of :func:`repro.exec.run_tasks`, folds each shard into
-  the sketch, and never holds more than one shard of results;
+* **the one fleet shard loop** — :func:`iter_shards` pulls devices
+  from any iterable (a generator for synthetic fleets) and simulates
+  one shard at a time with one :func:`repro.exec.run_tasks` call;
+  :func:`stream_fleet` folds each shard into the sketch and never holds
+  more than one shard of results (``FleetRunner.run`` runs the whole
+  fleet as one shard, the serve ``fleet`` job one shard per wave);
 * **stratified sampling** — :class:`StratifiedSampler` admits a seeded,
   order-independent subset of devices per ``(monitor, policy)`` stratum
   so a 10^7-device answer can come from 10^4 simulations, with the
@@ -44,8 +46,10 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.batch import ENGINES as EVAL_ENGINES
+from repro.batch import Scenario, evaluate_many
 from repro.errors import ConfigurationError
 from repro.exec import run_tasks
 from repro.fleet.cache import CalibrationCache
@@ -55,6 +59,8 @@ from repro.fleet.report import (
     format_duration_span,
     percentile,
 )
+from repro.fleet.spec import DeviceSpec
+from repro.harvest.monitors import MonitorModel
 from repro.obs import OBS
 from repro.trace.format import payload_digest
 
@@ -68,6 +74,8 @@ __all__ = [
     "ReservoirSketch",
     "StratifiedSampler",
     "StreamingMoments",
+    "iter_shards",
+    "simulate_devices",
     "stream_fleet",
 ]
 
@@ -675,6 +683,86 @@ class FleetSketchReport:
 # ----------------------------------------------------------------------
 # The shard loop
 # ----------------------------------------------------------------------
+def simulate_devices(
+    work: List[Tuple[DeviceSpec, MonitorModel]], engine: str = "auto"
+) -> List[DeviceResult]:
+    """Replay many devices at once through the unified evaluator.
+
+    Builds one :class:`~repro.batch.Scenario` per device and hands the
+    lot to :func:`repro.batch.evaluate_many`; with ``engine="auto"``
+    large homogeneous chunks vectorize through the numpy kernel while
+    small or reference-engine chunks fall back to the scalar engines —
+    either way the results are bit-identical to the one-device scalar
+    path (the kernel's equivalence contract).
+    """
+    scenarios = [Scenario.from_device(device, monitor) for device, monitor in work]
+    reports = evaluate_many(scenarios, engine=engine)
+    return [
+        DeviceResult.from_report(
+            device_id=device.device_id,
+            policy=device.policy,
+            engine=device.engine,
+            report=report,
+        )
+        for (device, _monitor), report in zip(work, reports)
+    ]
+
+
+def iter_shards(
+    devices: Iterable[DeviceSpec],
+    *,
+    shard_size: int,
+    parallel: int,
+    cache: CalibrationCache,
+    eval_engine: str,
+    sample: float = 1.0,
+    sample_seed: int = 0,
+    label: str,
+) -> Iterator[Tuple[List[DeviceSpec], List[Optional[DeviceResult]]]]:
+    """The one fleet shard loop: yield ``(shard, results)`` per shard.
+
+    Pulls ``shard_size`` devices at a time, looks each admitted device's
+    calibration up in ``cache`` in the parent (workers never write the
+    cache), and simulates the shard with one :func:`repro.exec.run_tasks`
+    call, one contiguous chunk per worker.  ``results`` lines up with
+    ``shard``, with ``None`` for each device ``sample`` did not admit.
+    The backbone's chunking invariance and the batch kernel's
+    bit-identity make every shard size yield the same per-device
+    results (``tests/fleet/test_shard_loop.py``).  Arguments are
+    validated here, before any device is pulled; the returned generator
+    does the work.
+    """
+    if parallel < 1:
+        raise ConfigurationError("parallel must be >= 1")
+    if shard_size < 1:
+        raise ConfigurationError(f"shard_size must be >= 1, got {shard_size}")
+    if eval_engine not in EVAL_ENGINES:
+        raise ConfigurationError(
+            f"unknown eval engine {eval_engine!r}; choose from {EVAL_ENGINES}"
+        )
+    sampler = StratifiedSampler(fraction=sample, seed=sample_seed)
+    worker = functools.partial(simulate_devices, engine=eval_engine)
+    iterator = iter(devices)
+    shards = iter(lambda: list(itertools.islice(iterator, shard_size)), [])
+    return _shards(shards, parallel, cache, sampler, worker, label)
+
+
+def _shards(shards, parallel, cache, sampler, worker, label):
+    for shard in shards:
+        admitted = [sampler.admit(device) for device in shard]
+        work = [
+            (device, cache.get(device.calibration_key()).model)
+            for device, ok in zip(shard, admitted)
+            if ok
+        ]
+        simulated = iter(
+            run_tasks(
+                worker, work, parallel=parallel, chunked=True, chunk="even", label=label
+            )
+        )
+        yield shard, [next(simulated) if ok else None for ok in admitted]
+
+
 @dataclass
 class FleetStreamResult:
     """A finished streaming run: the sketch report plus execution
@@ -734,16 +822,17 @@ def stream_fleet(
     and ``keep_events=False`` for 10^7-device runs — events stream to
     JSONL and memory stays flat.
     """
-    # Late import: runner imports us lazily for run_streaming, so the
-    # module-level dependency must point one way only.
-    from repro.fleet.runner import simulate_devices
-
-    if parallel < 1:
-        raise ConfigurationError("parallel must be >= 1")
-    if shard_size < 1:
-        raise ConfigurationError(f"shard_size must be >= 1, got {shard_size}")
     cache = cache if cache is not None else CalibrationCache()
-    sampler = StratifiedSampler(fraction=sample, seed=sample_seed)
+    shard_results = iter_shards(
+        devices,
+        shard_size=shard_size,
+        parallel=parallel,
+        cache=cache,
+        eval_engine=eval_engine,
+        sample=sample,
+        sample_seed=sample_seed,
+        label="fleet.stream",
+    )
     sketch = FleetSketch(capacity=capacity, seed=sample_seed)
     if record is not None:
         record.begin(
@@ -759,60 +848,29 @@ def stream_fleet(
                 "capacity": capacity,
             },
         )
-    worker = functools.partial(simulate_devices, engine=eval_engine)
     start = time.perf_counter()
     shards = 0
-    iterator = iter(devices)
     with OBS.tracer.span(
         "fleet.stream", fleet=name, shard_size=shard_size, parallel=parallel
     ) as span:
-        while True:
-            shard = list(itertools.islice(iterator, shard_size))
-            if not shard:
-                break
-            shards += 1
-            work = []
-            strata = []
-            admitted = []
-            for device in shard:
-                stratum = device_stratum(device)
-                if sampler.admit(device):
-                    work.append((device, cache.get(device.calibration_key()).model))
-                    strata.append(stratum)
-                    admitted.append(True)
-                else:
-                    sketch.skip(stratum)
-                    admitted.append(False)
-            results: List[DeviceResult] = []
-            if work:
-                results = run_tasks(
-                    worker,
-                    work,
-                    parallel=parallel,
-                    chunked=True,
-                    chunk="even",
-                    label="fleet.stream",
-                )
-                for stratum, result in zip(strata, results):
-                    sketch.update(result, stratum=stratum)
-            if record is not None:
-                # Emit in arrival order (run_tasks preserves result
-                # order) so the stream is deterministic under any
-                # parallelism.
-                result_iter = iter(results)
-                for device, ok in zip(shard, admitted):
-                    if ok:
-                        record.event(
-                            "device",
-                            device=device.device_id,
-                            spec=device.to_dict(),
-                            digest=payload_digest(next(result_iter).to_dict()),
-                        )
-                    else:
-                        record.event(
-                            "skip", device=device.device_id, spec=device.to_dict()
-                        )
-            del shard, work, strata, admitted, results
+        for shards, (shard, results) in enumerate(shard_results, start=1):
+            # Device (arrival) order throughout, so the sketch and the
+            # event stream are deterministic under any parallelism.
+            for device, result in zip(shard, results):
+                if result is None:
+                    sketch.skip(device_stratum(device))
+                    if record is not None:
+                        record.event("skip", device=device.device_id, spec=device.to_dict())
+                    continue
+                sketch.update(result, stratum=device_stratum(device))
+                if record is not None:
+                    record.event(
+                        "device",
+                        device=device.device_id,
+                        spec=device.to_dict(),
+                        digest=payload_digest(result.to_dict()),
+                    )
+            del shard, results
             if on_shard is not None:
                 on_shard(shards, sketch)
         span.set(shards=shards, seen=sketch.seen, simulated=sketch.count)

@@ -41,18 +41,21 @@ Job types:
     a :mod:`repro.trace` recording server-side and report whether the
     re-execution is byte-identical (plus the first divergence if not).
 
-Handlers fan heavy work out through
-:meth:`~repro.serve.jobs.JobContext.wave_run`, so every job type honors
-cancellation at wave granularity and streams as waves complete.  A
-request may set ``"wave": n`` to tighten that granularity (tests use
-``wave=1`` to stream/cancel per item).
+Handlers fan heavy work out in waves — the ``fleet`` job through
+:func:`repro.fleet.stream.iter_shards` (one shard per wave, the loop
+:meth:`FleetRunner.run <repro.fleet.runner.FleetRunner.run>` runs), the
+others through :meth:`~repro.serve.jobs.JobContext.wave_run` — so every
+job type honors cancellation at wave granularity and streams as waves
+complete.  A request may set ``"wave": n`` to tighten that granularity
+(tests use ``wave=1`` to stream/cancel per item).  Integer fields must
+be JSON integers; a float, bool or string is a typed
+:class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.dse.nsga2 import NSGA2
 from repro.dse.objectives import PerformanceModel
@@ -60,14 +63,15 @@ from repro.dse.pareto import pareto_front
 from repro.dse.space import DesignSpace
 from repro.errors import ConfigurationError
 from repro.fleet.report import FleetReport
-from repro.fleet.runner import FleetRunner, record_fleet_run, simulate_devices
+from repro.fleet.runner import record_fleet_run
 from repro.fleet.spec import FleetSpec
 from repro.fleet.stream import (
     DEFAULT_RESERVOIR_CAPACITY,
     DEFAULT_SHARD_SIZE,
+    iter_shards,
     stream_fleet,
 )
-from repro.serve.jobs import JobContext
+from repro.serve.jobs import WAVE_FACTOR, JobContext
 from repro.trace import Recording, TraceRecorder, replay
 from repro.spice.charlib import (
     DividerSweep,
@@ -89,19 +93,21 @@ __all__ = [
 ]
 
 
-def _parallel(request: Dict) -> int:
-    value = request.get("parallel")
+def _integer(request: Dict, key: str, default: Optional[int] = None) -> Optional[int]:
+    """``request[key]`` if it is a JSON integer (not a bool), ``default`` if absent."""
+    value = request.get(key)
     if value is None:
-        return 1
-    value = int(value)
-    if value < 1:
-        raise ConfigurationError(f"parallel must be >= 1, got {value}")
+        return default
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
     return value
 
 
-def _wave(request: Dict):
-    wave = request.get("wave")
-    return int(wave) if wave is not None else None
+def _parallel(request: Dict) -> int:
+    value = _integer(request, "parallel", 1)
+    if value < 1:
+        raise ConfigurationError(f"parallel must be >= 1, got {value}")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -116,29 +122,29 @@ def handle_fleet(context: JobContext, request: Dict) -> Dict:
     eval_engine = request.get("eval_engine", "auto")
     if request.get("stream"):
         return _handle_fleet_stream(context, fleet, request, parallel, eval_engine)
-    runner = FleetRunner(
-        fleet,
+    wave = _integer(request, "wave", parallel * WAVE_FACTOR)
+    if wave < 1:
+        raise ConfigurationError(f"wave must be >= 1, got {wave}")
+    shards = iter_shards(
+        fleet.devices,
+        shard_size=wave,
         parallel=parallel,
         cache=context.manager.calibration_cache,
         eval_engine=eval_engine,
-    )
-    context.emit("fleet", name=fleet.name, devices=len(fleet))
-    work = runner._work_items()
-
-    def on_item(index: int, outcome) -> None:
-        context.emit("device", index=index, result=outcome.to_dict())
-
-    results = context.wave_run(
-        functools.partial(simulate_devices, engine=eval_engine),
-        work,
-        parallel=parallel,
-        chunked=True,
-        on_item=on_item,
-        wave=_wave(request),
         label="serve.fleet",
     )
-    # Same aggregation as FleetRunner.run(): DeviceResults in id order,
-    # so this payload is byte-identical to the direct run's report.
+    context.emit("fleet", name=fleet.name, devices=len(fleet))
+    results = []
+    # One shard per wave: each shard's pool is joined before the
+    # cancellation check, so cancelling never strands worker processes.
+    for _shard, shard_results in shards:
+        for result in shard_results:
+            context.emit("device", index=len(results), result=result.to_dict())
+            results.append(result)
+        context.check_cancelled()
+        context.emit_metrics()
+    # Same loop and aggregation as FleetRunner.run(): DeviceResults in
+    # id order, so this payload is byte-identical to the direct run's.
     report = FleetReport(fleet_name=fleet.name, results=results)
     if request.get("record"):
         # Same recording layout as FleetRunner.run(record=...) — one
@@ -162,10 +168,10 @@ def _handle_fleet_stream(
     final payload is byte-identical to the direct
     :meth:`FleetRunner.run_streaming` result.
     """
-    shard_size = int(request.get("shard_size", DEFAULT_SHARD_SIZE))
+    shard_size = _integer(request, "shard_size", DEFAULT_SHARD_SIZE)
     sample = float(request.get("sample", 1.0))
-    sample_seed = int(request.get("sample_seed", 0))
-    capacity = int(request.get("capacity", DEFAULT_RESERVOIR_CAPACITY))
+    sample_seed = _integer(request, "sample_seed", 0)
+    capacity = _integer(request, "capacity", DEFAULT_RESERVOIR_CAPACITY)
     context.emit("fleet", name=fleet.name, devices=len(fleet), mode="stream")
 
     def on_shard(shard_index: int, sketch) -> None:
@@ -214,18 +220,14 @@ def handle_replay(context: JobContext, request: Dict) -> Dict:
     if "recording" not in request:
         raise ConfigurationError('replay job needs a "recording" payload')
     recording = Recording.from_dict(request["recording"])
-    device = request.get("device")
+    device = _integer(request, "device")
     context.emit(
         "replay",
         kind=recording.header.kind,
         engine=recording.header.engine,
         events=len(recording.events),
     )
-    outcome = replay(
-        recording,
-        device=int(device) if device is not None else None,
-        check=False,
-    )
+    outcome = replay(recording, device=device, check=False)
     context.check_cancelled()
     return {
         "identical": outcome.identical,
@@ -244,8 +246,9 @@ def handle_dse(context: JobContext, request: Dict) -> Dict:
     model = PerformanceModel(DesignSpace(tech))
     kwargs = {}
     for key in ("population_size", "generations", "seed"):
-        if key in request:
-            kwargs[key] = int(request[key])
+        value = _integer(request, key)
+        if value is not None:
+            kwargs[key] = value
 
     def on_generation(generation: int, evaluations) -> None:
         context.check_cancelled()
@@ -293,7 +296,7 @@ def handle_experiments(context: JobContext, request: Dict) -> Dict:
         names,
         parallel=_parallel(request),
         on_item=on_item,
-        wave=_wave(request),
+        wave=_integer(request, "wave"),
         label="serve.experiments",
     )
     return {"results": [result.to_dict() for result, _elapsed in outcomes]}
@@ -354,7 +357,7 @@ def handle_characterize(context: JobContext, request: Dict) -> Dict:
     if tolerance is not None:
         tolerance = float(tolerance)
     cache = context.manager.characterization_cache
-    wave = _wave(request) or max(1, parallel) * 4
+    wave = _integer(request, "wave") or max(1, parallel) * 4
     results = []
     hits0, misses0 = cache.stats.hits, cache.stats.misses
     surrogate0 = cache.stats.surrogate_hits

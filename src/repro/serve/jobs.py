@@ -22,8 +22,9 @@ A :class:`JobManager` owns everything long-lived in the service:
 Job states move ``queued -> running -> done | failed | cancelled``
 (queued jobs may go straight to ``cancelled``).  Cancellation is
 cooperative but prompt: handlers run their fan-outs in bounded *waves*
-through :meth:`JobContext.wave_run`, which checks the cancel flag
-between waves and inside every ``on_result`` callback, raising
+(the ``fleet`` job one fleet shard per wave, the others through
+:meth:`JobContext.wave_run`) and check the cancel flag between waves —
+``wave_run`` also inside every ``on_result`` callback — raising
 :class:`JobCancelled`.  Each wave's process pool is joined before the
 next starts, so a cancelled job leaves no orphan worker processes
 behind.
@@ -222,8 +223,6 @@ class JobContext:
         items: Sequence,
         *,
         parallel: Optional[int] = None,
-        chunked: bool = False,
-        chunk="even",
         on_item: Optional[Callable[[int, object], None]] = None,
         wave: Optional[int] = None,
         label: Optional[str] = None,
@@ -264,8 +263,6 @@ class JobContext:
                     fn,
                     items[start : start + wave],
                     parallel=parallel,
-                    chunked=chunked,
-                    chunk=chunk,
                     label=label,
                     on_result=_on_result(start),
                 )

@@ -204,35 +204,41 @@ def _replay_riscv(recording: Recording) -> Recording:
     return rec.recording
 
 
+#: The ``stream_fleet`` knobs a ``mode: stream`` fleet header carries.
+_STREAM_KNOBS = ("name", "shard_size", "eval_engine", "sample", "sample_seed", "capacity")
+
+
 def _replay_fleet(recording: Recording) -> Recording:
-    cfg = recording.header.config
-    rec = TraceRecorder()
-    if cfg.get("mode") == "stream":
-        from repro.fleet.spec import DeviceSpec
-        from repro.fleet.stream import stream_fleet
-
-        devices = [
-            DeviceSpec.from_dict(event.payload["spec"])
-            for event in recording.events
-            if event.kind in ("device", "skip")
-        ]
-        stream_fleet(
-            devices,
-            name=cfg["name"],
-            shard_size=cfg["shard_size"],
-            eval_engine=cfg["eval_engine"],
-            sample=cfg["sample"],
-            sample_seed=cfg["sample_seed"],
-            capacity=cfg["capacity"],
-            record=rec,
-        )
-        return rec.recording
     from repro.fleet.runner import FleetRunner
-    from repro.fleet.spec import FleetSpec
+    from repro.fleet.spec import DeviceSpec, FleetSpec
+    from repro.fleet.stream import stream_fleet
 
-    FleetRunner(
-        FleetSpec.from_dict(cfg["fleet"]), eval_engine=cfg["eval_engine"]
-    ).run(record=rec)
+    cfg = recording.header.config
+    mode = cfg.get("mode")
+    if mode not in ("run", "stream"):
+        raise ConfigurationError(
+            f"unknown fleet recording mode {mode!r}; choose from ['run', 'stream']"
+        )
+    try:
+        if mode == "stream":
+            knobs = {key: cfg[key] for key in _STREAM_KNOBS}
+            devices = [
+                DeviceSpec.from_dict(event.payload["spec"])
+                for event in recording.events
+                if event.kind in ("device", "skip")
+            ]
+        else:
+            fleet = FleetSpec.from_dict(cfg["fleet"])
+            eval_engine = cfg["eval_engine"]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ConfigurationError(
+            f"malformed fleet {mode!r} recording ({type(exc).__name__}: {exc})"
+        ) from exc
+    rec = TraceRecorder()
+    if mode == "stream":
+        stream_fleet(devices, record=rec, **knobs)
+    else:
+        FleetRunner(fleet, eval_engine=eval_engine).run(record=rec)
     return rec.recording
 
 

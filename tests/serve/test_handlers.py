@@ -218,3 +218,89 @@ class TestTraceJobs:
         context, _ = _context()
         with pytest.raises(ConfigurationError, match="recording"):
             HANDLERS["replay"](context, {})
+
+
+class TestExactFleetMatchesDirectRun:
+    """The exact ``fleet`` job runs the shard loop ``FleetRunner.run``
+    runs: same report, same recording, device events in global order."""
+
+    @pytest.mark.parametrize("wave", [1, None])
+    def test_report_and_recording_match(self, wave):
+        from repro.fleet import FleetRunner, synthesize_fleet
+        from repro.trace import TraceRecorder
+
+        fleet = synthesize_fleet(6, seed=19, duration=10.0)
+        rec = TraceRecorder()
+        direct = FleetRunner(fleet).run(record=rec)
+        request = {"fleet": fleet.to_dict(), "record": True}
+        if wave is not None:
+            request["wave"] = wave
+        context, job = _context()
+        out = HANDLERS["fleet"](context, request)
+        assert out == direct.report.to_dict()
+        devices = [e for e in job.published if e["event"] == "device"]
+        assert [e["index"] for e in devices] == list(range(len(fleet)))
+        assert [e["result"] for e in devices] == out["results"]
+        [trace] = [e for e in job.published if e["event"] == "trace"]
+        assert trace["recording"] == rec.recording.to_dict()
+
+    def test_wave_must_be_positive(self):
+        from repro.fleet import synthesize_fleet
+
+        context, job = _context()
+        fleet = synthesize_fleet(2, seed=19, duration=10.0)
+        with pytest.raises(ConfigurationError, match="wave must be >= 1"):
+            HANDLERS["fleet"](context, {"fleet": fleet.to_dict(), "wave": 0})
+        assert job.published == []
+
+
+def _integer_field_request(kind, field, value):
+    from repro.fleet import synthesize_fleet
+
+    fleet = synthesize_fleet(2, seed=23, duration=10.0).to_dict()
+    sweep = sweep_to_dict(RingSweep(tech=TECH_90NM, n_stages=5, voltages=(0.8, 1.0)))
+    base = {
+        "fleet": {"fleet": fleet},
+        "fleet-stream": {"fleet": fleet, "stream": True},
+        "dse": {},
+        "experiments": {"names": ["table2"]},
+        "characterize": {"sweeps": [sweep]},
+    }[kind]
+    return kind.split("-")[0], {**base, field: value}
+
+
+INTEGER_FIELDS = [
+    ("fleet", "parallel"),
+    ("fleet", "wave"),
+    ("fleet-stream", "shard_size"),
+    ("fleet-stream", "sample_seed"),
+    ("fleet-stream", "capacity"),
+    ("dse", "population_size"),
+    ("dse", "generations"),
+    ("dse", "seed"),
+    ("experiments", "parallel"),
+    ("experiments", "wave"),
+    ("characterize", "parallel"),
+    ("characterize", "wave"),
+]
+
+
+class TestIntegerFields:
+    """Integer request fields take JSON integers only: no truncation of
+    floats, no bools, and a typed error (not a raw ValueError) for text."""
+
+    @pytest.mark.parametrize("value", [2.7, 1.5, True, "abc"])
+    @pytest.mark.parametrize("kind, field", INTEGER_FIELDS)
+    def test_non_integer_rejected(self, kind, field, value):
+        handler, request = _integer_field_request(kind, field, value)
+        context, job = _context()
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            HANDLERS[handler](context, request)
+        assert job.published == []
+
+    @pytest.mark.parametrize("value", [2.0, False, "2"])
+    def test_replay_device_rejected(self, value):
+        context, _ = _context()
+        payload = TestTraceJobs()._recorded_trace()
+        with pytest.raises(ConfigurationError, match="device must be an integer"):
+            HANDLERS["replay"](context, {"recording": payload, "device": value})

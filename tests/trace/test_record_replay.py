@@ -306,3 +306,72 @@ class TestCorruptRecordings:
             main(["replay", str(_corrupt(tmp_path, "truncated_gz"))])
         assert excinfo.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+_STREAM_KNOBS = {
+    "name": "bad",
+    "shard_size": 2,
+    "eval_engine": "auto",
+    "sample": 1.0,
+    "sample_seed": 0,
+    "capacity": 16,
+}
+
+#: Malformed fleet headers (config, event payloads) -> error pattern.
+BAD_FLEET_HEADERS = {
+    "run_without_fleet": ({"mode": "run", "eval_engine": "auto"}, [], "KeyError: 'fleet'"),
+    "stream_without_knobs": ({"mode": "stream"}, [], "KeyError: 'name'"),
+    "stream_event_without_spec": (
+        {"mode": "stream", **_STREAM_KNOBS},
+        [{"device": 0}],
+        "KeyError: 'spec'",
+    ),
+    "fleet_not_an_object": (
+        {"mode": "run", "fleet": 5, "eval_engine": "auto"},
+        [],
+        "malformed fleet 'run' recording .AttributeError",
+    ),
+    "device_spec_not_an_object": (
+        {"mode": "stream", **_STREAM_KNOBS},
+        [{"device": 0, "spec": 7}],
+        "malformed fleet 'stream' recording .TypeError",
+    ),
+    "unknown_mode": (
+        {"mode": "batch", "fleet": {}, "eval_engine": "auto"},
+        [],
+        "unknown fleet recording mode 'batch'",
+    ),
+}
+
+
+def _bad_fleet_recording(name):
+    from repro.trace import Recording, TraceEvent, TraceHeader
+
+    config, payloads, _match = BAD_FLEET_HEADERS[name]
+    return Recording(
+        header=TraceHeader.create("fleet", "auto", config),
+        events=[
+            TraceEvent(seq=i, kind="device", payload=p) for i, p in enumerate(payloads)
+        ],
+    )
+
+
+class TestMalformedFleetHeaders:
+    """A fleet header replay cannot rebuild the run from is a typed
+    ConfigurationError, never a KeyError/AttributeError traceback or a
+    silent replay under the wrong mode."""
+
+    @pytest.mark.parametrize("name", sorted(BAD_FLEET_HEADERS))
+    def test_replay_raises_configuration_error(self, name):
+        with pytest.raises(ConfigurationError, match=BAD_FLEET_HEADERS[name][2]):
+            replay(_bad_fleet_recording(name))
+
+    def test_replay_cli_exits_2(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "bad-fleet.jsonl"
+        _bad_fleet_recording("fleet_not_an_object").save(str(path))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["replay", str(path)])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
