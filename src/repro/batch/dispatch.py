@@ -167,7 +167,7 @@ def evaluate_many(
                 record=None if record is None else LaneSink(record, i)
             )
     metrics = OBS.metrics
-    if metrics.enabled and reports:
+    if reports:
         count_runs(reports)
         metrics.incr("batch.runs")
         metrics.incr("batch.lanes", len(reports))

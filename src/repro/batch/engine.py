@@ -91,11 +91,9 @@ class BatchHarvestEngine:
                     "the batch kernel implements the fast engine's semantics; "
                     f"scenario asks for {scenario.scalar_engine!r}"
                 )
+        # Lane events are emitted inline: a helper function would be a
+        # call that only an observed run makes.
         emit = emitter("harvest", record)
-
-        def emit_lanes(kind, mask, t_at, v_at):
-            for i in np.nonzero(mask)[0]:
-                emit(kind, t=float(t_at[i]), lane=lane_ids[i], v=float(v_at[i]))
 
         n = len(scenarios)
         # Constructing the scalar simulator per lane is cheap and
@@ -205,7 +203,9 @@ class BatchHarvestEngine:
                 promote = off_m & (v >= v_on)
                 if cnz(promote):
                     if emit is not None:
-                        emit_lanes("power_on", promote, t, v)
+                        for i in np.nonzero(promote)[0]:
+                            emit("power_on", t=float(t[i]),
+                                 lane=lane_ids[i], v=float(v[i]))
                     state[promote] = _RESTORE
                     copyto(phase_left, restore_time, where=promote)
                     off_m &= ~promote
@@ -378,7 +378,9 @@ class BatchHarvestEngine:
                     n_ck = cnz(to_ck)
                     if n_ck:
                         if emit is not None:
-                            emit_lanes("checkpoint", to_ck, t_next, v_new)
+                            for i in np.nonzero(to_ck)[0]:
+                                emit("checkpoint", t=float(t_next[i]),
+                                     lane=lane_ids[i], v=float(v_new[i]))
                         state[to_ck] = _CHECKPOINT
                         checkpoints += to_ck
                     if not all_run:
@@ -396,8 +398,12 @@ class BatchHarvestEngine:
                         died_ck = is_ck & lowv
                         ck_off = (is_ck & ~lowv) & pl_le
                         if emit is not None:
-                            emit_lanes("power_failure", died_ck, t_next, v_new)
-                            emit_lanes("power_off", ck_off, t_next, v_new)
+                            for kind, mask in (
+                                ("power_failure", died_ck), ("power_off", ck_off)
+                            ):
+                                for i in np.nonzero(mask)[0]:
+                                    emit(kind, t=float(t_next[i]),
+                                         lane=lane_ids[i], v=float(v_new[i]))
                         go_off = (died_rest | died_ck) | ck_off
                         if cnz(go_off):
                             state[go_off] = _OFF

@@ -113,10 +113,10 @@ class NSGA2:
                         offspring.append(self._mutate(rng, c2))
                 off_evals = self._evaluate_generation(offspring)
                 evaluated += len(offspring)
-                population, evals = self._environmental_selection(
+                population, evals, first_front = self._environmental_selection(
                     population + offspring, evals + off_evals
                 )
-                self._observe_generation(generation, evals)
+                self._observe_generation(generation, evals, first_front)
                 if self.on_generation is not None:
                     self.on_generation(generation, evals)
             OBS.metrics.incr("dse.evaluations", evaluated)
@@ -128,31 +128,31 @@ class NSGA2:
             )
 
     # ------------------------------------------------------------------
-    def _observe_generation(self, generation: int, evals: List[Evaluation]) -> None:
+    def _observe_generation(
+        self, generation: int, evals: List[Evaluation], first_front: int
+    ) -> None:
         """Per-generation progress metrics: first-front size and a
         hypervolume proxy (product of the front's per-objective extents
         — cheap, monotone under front spread, good enough to watch
-        convergence)."""
-        if not OBS.enabled:
-            return
-        feasible = [e for e in evals if e.feasible]
-        front_size = 0
+        convergence).
+
+        The front is ``evals[:first_front]``, read off the ranks
+        environmental selection already computed, so observing a run
+        sorts nothing the unobserved run does not."""
+        front = [e.objectives() for e in evals[:first_front]]
         hv_proxy = 0.0
-        if feasible:
-            objs = [e.objectives() for e in feasible]
-            front = pareto_front(objs)
-            front_size = len(front)
+        if front:
             hv_proxy = 1.0
-            for axis in range(len(objs[0])):
-                values = [objs[i][axis] for i in front]
+            for axis in range(len(front[0])):
+                values = [objs[axis] for objs in front]
                 hv_proxy *= max(values) - min(values) + 1e-30
-        OBS.metrics.observe("dse.front_size", front_size)
+        OBS.metrics.observe("dse.front_size", first_front)
         OBS.metrics.gauge("dse.hypervolume_proxy", hv_proxy)
         OBS.tracer.event(
             "dse.nsga2.generation",
             generation=generation,
-            front_size=front_size,
-            feasible=len(feasible),
+            front_size=first_front,
+            feasible=sum(e.feasible for e in evals),
             hypervolume_proxy=hv_proxy,
         )
 
@@ -248,11 +248,20 @@ class NSGA2:
 
     def _environmental_selection(
         self, genomes: List[Genome], evals: List[Evaluation]
-    ) -> Tuple[List[Genome], List[Evaluation]]:
+    ) -> Tuple[List[Genome], List[Evaluation], int]:
+        """The next population, plus the size of its first front.
+
+        Survivors are sorted by ``(rank, -crowding)``, so their feasible
+        first front is their leading rank-0 members: a surviving rank-r
+        member means every rank r-1 member survived too, so each later
+        survivor is dominated by an earlier one.  Infeasible members
+        never hold rank 0.
+        """
         ranks, crowd = self._rank(evals)
         order = sorted(
             range(len(genomes)),
             key=lambda i: (ranks[i], -crowd[i]),
         )
         chosen = order[: self.population_size]
-        return [genomes[i] for i in chosen], [evals[i] for i in chosen]
+        first_front = sum(1 for i in chosen if ranks[i] == 0)
+        return [genomes[i] for i in chosen], [evals[i] for i in chosen], first_front

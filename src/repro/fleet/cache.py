@@ -24,15 +24,13 @@ import hashlib
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.analog.divider import VoltageDivider
 from repro.core.config import FSConfig
 from repro.core.monitor import FailureSentinels
 from repro.errors import ConfigurationError
 from repro.obs import OBS
-from repro.spice.charlib import DividerSweep, characterize_many
 from repro.harvest.monitors import (
     ADCMonitor,
     ComparatorMonitor,
@@ -65,48 +63,6 @@ class CalibrationRecord:
 
     def curve_voltages(self) -> Tuple[float, ...]:
         return tuple(v for _count, v in self.curve)
-
-
-def _enrollment_crosscheck(config: FSConfig) -> None:
-    """Device-level sanity probe on a cold enrollment.
-
-    Characterizes the divider netlist through the shared
-    :mod:`repro.spice.charlib` cache and compares the tap voltage
-    against the analytic model enrollment used — a fleet deploying one
-    monitor design on one technology pays for exactly one solve, ever.
-    Runs only when observability is on — it is a data-quality check
-    riding the trace, not part of enrollment itself — and never fails
-    the enrollment: a non-converged solve is itself a finding worth
-    recording.  ``characterize_many``'s ``"auto"`` engine answers in
-    microseconds per device when a certified surrogate covers the
-    divider (e.g. after :func:`~repro.spice.surrogate.
-    fit_variation_family` enrollment warm-up).
-    """
-    if not OBS.enabled:
-        return
-    # Unit upper width: the widened production divider intentionally
-    # sits off the ideal ratio (enrollment absorbs that), so the
-    # ratio-vs-netlist comparison is only meaningful at width 1.
-    divider = VoltageDivider(config.tech, upper_width=1.0)
-    sweep = DividerSweep(
-        tech=config.tech,
-        voltages=(V_TYPICAL,),
-        tap=divider.tap,
-        total=divider.total,
-        upper_width=divider.upper_width,
-    )
-    v_analytic = divider.nominal_output(V_TYPICAL)
-    with OBS.tracer.span("spice.crosscheck", tech=config.tech.name) as span:
-        [result] = characterize_many([sweep])
-        v_spice = result.tap[0]
-        if v_spice <= 0.0:
-            # charlib records a non-converged point as a zero tap.
-            span.set(converged=False)
-            OBS.metrics.incr("fleet.crosscheck_failures")
-            return
-        error = abs(v_spice - v_analytic) / max(v_analytic, 1e-12)
-        span.set(v_spice=v_spice, v_analytic=v_analytic, rel_error=error)
-    OBS.metrics.observe("fleet.crosscheck_rel_error", error)
 
 
 def build_record(key: Tuple) -> CalibrationRecord:
@@ -147,7 +103,6 @@ def build_record(key: Tuple) -> CalibrationRecord:
         fs = FailureSentinels(config)
         table = fs.enroll()
         span.set(entries=len(table.points))
-        _enrollment_crosscheck(config)
     OBS.metrics.incr("fleet.enrollments")
     model = MonitorModel(
         name=name,

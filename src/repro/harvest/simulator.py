@@ -112,10 +112,9 @@ class SimulationReport:
 def count_runs(reports: Sequence[SimulationReport]) -> None:
     """Run-boundary ``harvest.*`` metrics, shared by the scalar ``run()``
     and the batch dispatcher so ``harvest.runs == fleet.devices`` holds
-    whichever engine ran."""
+    whichever engine ran.  Called armed or not — a few sums over
+    finished reports — so observing a run changes no call it makes."""
     metrics = OBS.metrics
-    if not metrics.enabled:
-        return
     metrics.incr("harvest.runs", len(reports))
     metrics.incr("harvest.steps", sum(r.steps for r in reports))
     metrics.incr("harvest.checkpoints", sum(r.checkpoints for r in reports))

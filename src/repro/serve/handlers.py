@@ -55,6 +55,7 @@ be JSON integers; a float, bool or string is a typed
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, Optional
 
 from repro.dse.nsga2 import NSGA2
@@ -101,6 +102,21 @@ def _integer(request: Dict, key: str, default: Optional[int] = None) -> Optional
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigurationError(f"{key} must be an integer, got {value!r}")
     return value
+
+
+def _number(request: Dict, key: str, default: Optional[float] = None) -> Optional[float]:
+    """``request[key]`` as a float if it is a finite JSON number (not a
+    bool), ``default`` if absent."""
+    value = request.get(key)
+    if value is None:
+        return default
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _parallel(request: Dict) -> int:
@@ -169,7 +185,7 @@ def _handle_fleet_stream(
     :meth:`FleetRunner.run_streaming` result.
     """
     shard_size = _integer(request, "shard_size", DEFAULT_SHARD_SIZE)
-    sample = float(request.get("sample", 1.0))
+    sample = _number(request, "sample", 1.0)
     sample_seed = _integer(request, "sample_seed", 0)
     capacity = _integer(request, "capacity", DEFAULT_RESERVOIR_CAPACITY)
     context.emit("fleet", name=fleet.name, devices=len(fleet), mode="stream")
@@ -353,9 +369,7 @@ def handle_characterize(context: JobContext, request: Dict) -> Dict:
         raise ConfigurationError('characterize job needs a non-empty "sweeps" list')
     parallel = _parallel(request)
     engine = request.get("engine", "auto")
-    tolerance = request.get("tolerance")
-    if tolerance is not None:
-        tolerance = float(tolerance)
+    tolerance = _number(request, "tolerance")
     cache = context.manager.characterization_cache
     wave = _integer(request, "wave") or max(1, parallel) * 4
     results = []

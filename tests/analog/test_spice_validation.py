@@ -12,7 +12,7 @@ from repro.analog import RingOscillator, VoltageDivider
 from repro.analog.divider import build_divider_circuit, divider_tap_node
 from repro.analog.ring_oscillator import build_ro_circuit, staggered_initial_condition
 from repro.spice import dc_operating_point, transient
-from repro.tech import TECH_90NM
+from repro.tech import ALL_NODES, TECH_90NM
 
 
 class TestRingAtDeviceLevel:
@@ -58,8 +58,9 @@ class TestRingAtDeviceLevel:
 
 class TestDividerAtDeviceLevel:
     @pytest.mark.parametrize("v_supply", [1.8, 2.7, 3.6])
-    def test_unloaded_tap_near_ratio(self, v_supply):
-        div = VoltageDivider(TECH_90NM, 1, 3, upper_width=1.0)
+    @pytest.mark.parametrize("tech", ALL_NODES, ids=lambda tech: tech.name)
+    def test_unloaded_tap_near_ratio(self, tech, v_supply):
+        div = VoltageDivider(tech, 1, 3, upper_width=1.0)
         circuit = build_divider_circuit(div, v_supply)
         op = dc_operating_point(circuit)
         tap = op[divider_tap_node(div)]

@@ -115,9 +115,13 @@ class TestInfeasibleCrowdingDeterminism:
         feasible_point = DesignPoint(7, 1e3, 10, 2e-6, 64, 10)
         genomes = [(0.1,) * 6, (0.2,) * 6, (0.3,) * 6, (0.4,) * 6, (0.5,) * 6]
         evals = [model.evaluate(feasible_point)] * 3 + [severe, mild]
-        chosen_genomes, chosen_evals = nsga._environmental_selection(genomes, evals)
+        chosen_genomes, chosen_evals, first_front = nsga._environmental_selection(
+            genomes, evals
+        )
         kept_infeasible = [e for e in chosen_evals if not e.feasible]
         assert kept_infeasible == [mild]
+        # Three identical feasible designs: none dominates another.
+        assert first_front == 3
 
     def test_fixed_seed_repeat_run_pareto_identical(self, model):
         """The ISSUE's acceptance test: same seed, same Pareto front."""

@@ -1,7 +1,7 @@
 """End-to-end observability: instrumented subsystems and the CLI.
 
 The headline guarantee: one ``python -m repro fleet --trace out.jsonl``
-produces spans from at least four packages (spice, harvest, dse, fleet)
+produces spans from at least four packages (harvest, dse, fleet, exec)
 in a single merged JSONL file, and per-device counters aggregate
 correctly across ProcessPoolExecutor workers.
 """
@@ -117,7 +117,7 @@ class TestCLITrace:
         packages = {
             r["name"].split(".")[0] for r in read_jsonl(path) if "name" in r
         }
-        assert {"spice", "harvest", "dse", "fleet"} <= packages
+        assert {"harvest", "dse", "fleet", "exec"} <= packages
 
     def test_trace_flag_before_subcommand(self, tmp_path, capsys):
         path = str(tmp_path / "trace.jsonl")
@@ -152,8 +152,9 @@ class TestSubsystemSpans:
         from repro.dse.nsga2 import NSGA2
         from repro.dse.objectives import PerformanceModel
         from repro.dse.space import DesignSpace
+        from repro.dse.pareto import pareto_front
         from repro.obs import MemorySink
-        from repro.tech import TECH_90NM
+        from repro.tech import ALL_NODES, TECH_90NM
 
         sink = MemorySink()
         obs.configure(sink=sink, metrics=True)
@@ -167,6 +168,50 @@ class TestSubsystemSpans:
         assert names.count("dse.nsga2.generation") == 2
         assert "dse.nsga2" in names
         assert obs.OBS.metrics.counter("dse.evaluations") == 8 + 2 * 8
+
+        # Each event's values equal a pareto_front recomputation over
+        # that generation's survivors.
+        recomputed = []
+
+        def recompute(generation, evals):
+            feasible = [e for e in evals if e.feasible]
+            objs = [e.objectives() for e in feasible]
+            front = pareto_front(objs)
+            hv_proxy = 0.0
+            if front:
+                hv_proxy = 1.0
+                for axis in range(len(objs[0])):
+                    values = [objs[i][axis] for i in front]
+                    hv_proxy *= max(values) - min(values) + 1e-30
+            recomputed.append(
+                {
+                    "generation": generation,
+                    "front_size": len(front),
+                    "feasible": len(feasible),
+                    "hypervolume_proxy": hv_proxy,
+                }
+            )
+
+        front_sizes = set()
+        for tech in ALL_NODES:
+            model = PerformanceModel(DesignSpace(tech))
+            for population in (4, 24):
+                sink = MemorySink()
+                obs.configure(sink=sink, metrics=True)
+                recomputed.clear()
+                NSGA2(
+                    model,
+                    population_size=population,
+                    generations=3,
+                    seed=3,
+                    on_generation=recompute,
+                ).run()
+                events = [
+                    r["attrs"] for r in sink.records if r["name"] == "dse.nsga2.generation"
+                ]
+                assert events == recomputed, (tech.name, population)
+                front_sizes.update(e["front_size"] for e in events)
+        assert max(front_sizes) > 1
 
     def test_riscv_run_emits_span_with_attrs(self):
         from repro.obs import MemorySink

@@ -254,7 +254,7 @@ class TestExactFleetMatchesDirectRun:
         assert job.published == []
 
 
-def _integer_field_request(kind, field, value):
+def _field_request(kind, field, value):
     from repro.fleet import synthesize_fleet
 
     fleet = synthesize_fleet(2, seed=23, duration=10.0).to_dict()
@@ -292,7 +292,7 @@ class TestIntegerFields:
     @pytest.mark.parametrize("value", [2.7, 1.5, True, "abc"])
     @pytest.mark.parametrize("kind, field", INTEGER_FIELDS)
     def test_non_integer_rejected(self, kind, field, value):
-        handler, request = _integer_field_request(kind, field, value)
+        handler, request = _field_request(kind, field, value)
         context, job = _context()
         with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
             HANDLERS[handler](context, request)
@@ -304,3 +304,19 @@ class TestIntegerFields:
         payload = TestTraceJobs()._recorded_trace()
         with pytest.raises(ConfigurationError, match="device must be an integer"):
             HANDLERS["replay"](context, {"recording": payload, "device": value})
+
+
+class TestNumberFields:
+    """Float request fields take finite JSON numbers only: no bools, no
+    numeric strings, no NaN, and a typed error for text."""
+
+    @pytest.mark.parametrize("value", ["abc", True, "0.5", float("nan")])
+    @pytest.mark.parametrize(
+        "kind, field", [("fleet-stream", "sample"), ("characterize", "tolerance")]
+    )
+    def test_non_number_rejected(self, kind, field, value):
+        handler, request = _field_request(kind, field, value)
+        context, job = _context()
+        with pytest.raises(ConfigurationError, match=f"{field} must be a finite number"):
+            HANDLERS[handler](context, request)
+        assert job.published == []
