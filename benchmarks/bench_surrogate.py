@@ -3,8 +3,8 @@
 Builds the ISSUE-8 workload: a 10^5-point DSE-shaped query stream over
 the divider's supply lattice, answered two ways against the *same*
 warm characterization cache — ``engine="exact"`` (every query resolved
-through the fingerprint + two-layer cache) and ``engine="auto"`` with a
-certified surrogate covering the lattice.  Asserts the >=10x headline
+through the fingerprint + two-layer cache) and ``engine="surrogate"``
+with a certified surrogate covering the lattice.  Asserts the >=10x headline
 floor, the certificate (fitted error <= tolerance, and every surrogate
 answer within tolerance of the exact solve on the lattice), and that
 ``select_config(spice_validate=True)`` still runs its *exact* SPICE
@@ -61,7 +61,7 @@ def test_surrogate_speedup(results_dir, tmp_path):
     t_fit = time.perf_counter() - start
     assert model.certified_error <= model.tolerance
 
-    # Exact warm baseline vs auto-dispatch, same cache, best-of-3
+    # Exact warm baseline vs surrogate dispatch, same cache, best-of-3
     # interleaved so a load spike cannot land on one side only.
     t_exact = t_auto = float("inf")
     exact_results = auto_results = None
@@ -70,7 +70,7 @@ def test_surrogate_speedup(results_dir, tmp_path):
         exact_results = characterize_many(queries, engine="exact", cache=cache)
         t_exact = min(t_exact, time.perf_counter() - start)
         start = time.perf_counter()
-        auto_results = characterize_many(queries, engine="auto", cache=cache)
+        auto_results = characterize_many(queries, engine="surrogate", cache=cache)
         t_auto = min(t_auto, time.perf_counter() - start)
     speedup = t_exact / t_auto
 
@@ -81,7 +81,7 @@ def test_surrogate_speedup(results_dir, tmp_path):
     worst = 0.0
     by_fp = {r.fingerprint: r for r in exact_results}
     for sweep, exact in zip(lattice, exact_fill):
-        [sur] = characterize_many([sweep], engine="auto", cache=cache)
+        [sur] = characterize_many([sweep], engine="surrogate", cache=cache)
         for qty in ("tap", "current"):
             for got, want in zip(getattr(sur, qty), getattr(exact, qty)):
                 denom = max(abs(want), 1e-3 * model.scales[qty])
@@ -101,7 +101,7 @@ def test_surrogate_speedup(results_dir, tmp_path):
         f"({len(model.v_anchors)} anchors, {model.cert_points} held-out solves, "
         f"error {model.certified_error:.2%})",
         f"  exact (warm cache)            {t_exact * 1e3:9.1f} ms",
-        f"  auto (certified surrogate)    {t_auto * 1e3:9.1f} ms  "
+        f"  surrogate (certified)         {t_auto * 1e3:9.1f} ms  "
         f"speedup {speedup:5.1f}x  (floor {SPEEDUP_FLOOR:.0f}x)",
         f"  worst lattice disagreement    {worst:.2e}  "
         f"(certified tolerance {DEFAULT_TOLERANCE:.0e})",

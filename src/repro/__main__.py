@@ -11,9 +11,9 @@ Subcommands:
   print a one-shot reading with its error budget;
 * ``characterize --kind ring|divider --voltages SPEC`` — cached SPICE
   characterization curves from the command line; ``--engine
-  auto|exact|surrogate`` picks between exact solves and certified
+  exact|surrogate`` picks between exact solves (default) and certified
   interpolants (``docs/surrogates.md``), ``--fit`` pre-fits a certified
-  surrogate over the requested span;
+  surrogate over the requested span and answers through it;
 * ``fleet [--devices N] [--jobs J]`` — simulate a heterogeneous device
   fleet and print aggregate duty/checkpoint distributions plus a
   deployment-plan preview (``--no-plan`` to skip); ``--stream``
@@ -258,8 +258,9 @@ def cmd_characterize(args) -> None:
             f"{model.certified_error:.2%} <= {model.tolerance:.2%} "
             f"({model.cert_points} held-out solves, {model.rounds} refinement rounds)"
         )
+    engine = args.engine or ("surrogate" if args.fit else "exact")
     [result] = characterize_many(
-        [sweep], engine=args.engine, parallel=args.jobs, tolerance=args.tolerance
+        [sweep], engine=engine, parallel=args.jobs, tolerance=args.tolerance
     )
     if args.json:
         import json
@@ -449,9 +450,9 @@ def main(argv=None) -> None:
     chz.add_argument("--temp", type=float, default=298.15, metavar="K",
                      help="simulation temperature in kelvin (default 298.15)")
     chz.add_argument(
-        "--engine", default="auto", choices=["auto", "exact", "surrogate"],
-        help="curve source (default auto: certified surrogate when one covers "
-             "the request, exact solves otherwise; see docs/surrogates.md)",
+        "--engine", default=None, choices=["exact", "surrogate"],
+        help="curve source (default exact, or surrogate with --fit; "
+             "see docs/surrogates.md)",
     )
     chz.add_argument("--tolerance", type=float, default=None, metavar="RTOL",
                      help="certified surrogate tolerance (default 0.02)")

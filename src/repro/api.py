@@ -12,8 +12,8 @@ semantics guaranteed across 1.x releases (see ``docs/api.md``):
 * **circuit characterization** — :class:`RingSweep` /
   :class:`DividerSweep` + :func:`characterize_many`, the cached SPICE
   sweep front door (:mod:`repro.spice.charlib`) with
-  ``engine="exact"|"surrogate"|"auto"`` dispatch over exact solves and
-  certified interpolants (:func:`fit_surrogate` /
+  ``engine="exact"|"surrogate"`` dispatch over exact solves (the
+  default) and certified interpolants (:func:`fit_surrogate` /
   :class:`SurrogateModel`, :mod:`repro.spice.surrogate`,
   ``docs/surrogates.md``);
 * **fleets** — :func:`run_fleet` / :class:`FleetRunner`, plus the

@@ -336,8 +336,8 @@ class PerformanceModel:
 
         ``engine`` defaults to ``"exact"`` — a cross-*check* answered by
         an interpolant fitted from the thing being checked would be
-        circular.  Pass ``engine="auto"`` only for exploratory sweeps
-        where a certified surrogate answer is acceptable.
+        circular.  Pass ``engine="surrogate"`` only for exploratory
+        sweeps where a certified surrogate answer is acceptable.
         """
         from repro.spice.charlib import RingSweep, characterize_many
 

@@ -16,11 +16,15 @@ workers the finished (frozen, picklable) records.  Workers never write
 the cache, so parallel execution cannot race it.  An optional disk
 layer persists records across runs with atomic ``os.replace`` writes,
 which are safe against concurrent fleet runs on the same directory.
+Disk files are named by the key *and* the technology card enrollment
+ran on, so a recalibrated card never reads an old record.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 import os
 import pickle
 import tempfile
@@ -40,6 +44,10 @@ from repro.harvest.monitors import (
     fs_low_power_config,
 )
 from repro.tech import get_technology
+
+#: Bump when the pickled record layout or the enrollment recipe
+#: changes; old disk records become unreachable.
+DISK_SCHEMA_VERSION = 1
 
 #: Supply voltage at which duty-cycled mean current is quoted (matches
 #: :func:`repro.harvest.monitors.FSMonitor`'s default).
@@ -75,29 +83,21 @@ def build_record(key: Tuple) -> CalibrationRecord:
     if kind == "adc":
         return CalibrationRecord(key=key, model=ADCMonitor())
 
+    # Every enrollment runs on the key's card — the card the disk
+    # layer digests.  The pinned Table IV corners are 90 nm designs; on
+    # another node they keep their shape on that node's card.
+    card = get_technology(tech_name)
     if kind == "fs_lp":
-        config = fs_low_power_config()
+        config = dataclasses.replace(fs_low_power_config(), tech=card)
         name = "FS (LP)"
     elif kind == "fs_hp":
-        config = fs_high_performance_config()
+        config = dataclasses.replace(fs_high_performance_config(), tech=card)
         name = "FS (HP)"
     elif kind == "fs":
-        config = FSConfig(tech=get_technology(tech_name), **dict(params))
+        config = FSConfig(tech=card, **dict(params))
         name = f"FS({tech_name}, {config.f_sample / 1e3:.0f}kHz)"
     else:
         raise ConfigurationError(f"unknown monitor kind {kind!r}")
-    if kind in ("fs_lp", "fs_hp") and tech_name != config.tech.name:
-        # The pinned Table IV corners are 90 nm designs; a different
-        # node means a different card, same shape.
-        config = FSConfig(
-            tech=get_technology(tech_name),
-            ro_length=config.ro_length,
-            counter_bits=config.counter_bits,
-            t_enable=config.t_enable,
-            f_sample=config.f_sample,
-            nvm_entries=config.nvm_entries,
-            entry_bits=config.entry_bits,
-        )
 
     with OBS.tracer.span("fleet.enroll", kind=kind, tech=tech_name) as span:
         fs = FailureSentinels(config)
@@ -137,7 +137,12 @@ class CalibrationCache:
         self._records: Dict[Tuple, CalibrationRecord] = {}
         self.stats = CacheStats()
         if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
+            try:
+                os.makedirs(cache_dir, exist_ok=True)
+            except OSError as exc:
+                raise ConfigurationError(
+                    f"unusable calibration cache dir {cache_dir!r}: {exc.strerror or exc}"
+                ) from None
 
     # ------------------------------------------------------------------
     def get(self, key: Tuple) -> CalibrationRecord:
@@ -166,7 +171,13 @@ class CalibrationCache:
     def _path(self, key: Tuple) -> Optional[str]:
         if not self.cache_dir:
             return None
-        digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:24]
+        # Digest every field of the card, as charlib.fingerprint does.
+        card = get_technology(key[0])
+        tech = {f.name: getattr(card, f.name) for f in dataclasses.fields(card)}
+        blob = json.dumps(
+            {"schema": DISK_SCHEMA_VERSION, "tech": tech, "key": repr(key)}, sort_keys=True
+        )
+        digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
         return os.path.join(self.cache_dir, f"calibration-{digest}.pkl")
 
     def _load_disk(self, key: Tuple) -> Optional[CalibrationRecord]:
@@ -176,8 +187,11 @@ class CalibrationCache:
         try:
             with open(path, "rb") as handle:
                 record = pickle.load(handle)
-        except (OSError, pickle.PickleError, EOFError):
-            return None
+        except (
+            OSError, pickle.PickleError, EOFError, ImportError,
+            AttributeError, ValueError, TypeError, IndexError,
+        ):
+            return None  # any unreadable payload is a miss, rebuilt cold
         if not isinstance(record, CalibrationRecord) or record.key != key:
             return None
         return record

@@ -351,24 +351,24 @@ def sweep_from_dict(data: Dict) -> SweepRequest:
     unknown = set(payload) - allowed
     if unknown:
         raise ConfigurationError(f"unknown sweep fields {sorted(unknown)}")
-    if "voltages" in payload:
-        payload["voltages"] = tuple(payload["voltages"])
     return cls(tech=tech, **payload)
 
 
 def handle_characterize(context: JobContext, request: Dict) -> Dict:
     """Cached SPICE characterization against the shared warm cache.
 
-    ``"engine"`` (``"auto"``/``"exact"``/``"surrogate"``, default auto)
-    and ``"tolerance"`` forward to ``characterize_many`` — the service's
-    process-lifetime cache also holds certified surrogate models, so a
-    fitted node's curves answer without touching the solver.
+    ``"engine"`` (``"exact"``/``"surrogate"``, default exact) and
+    ``"tolerance"`` forward to ``characterize_many``.  The service's
+    process-lifetime cache also holds certified surrogate models: a
+    ``"surrogate"`` job over a fitted node answers without touching the
+    solver, and a default job answers exactly whatever other clients
+    have fitted.
     """
     sweeps = [sweep_from_dict(s) for s in request.get("sweeps", [])]
     if not sweeps:
         raise ConfigurationError('characterize job needs a non-empty "sweeps" list')
     parallel = _parallel(request)
-    engine = request.get("engine", "auto")
+    engine = request.get("engine", "exact")
     tolerance = _number(request, "tolerance")
     cache = context.manager.characterization_cache
     wave = _integer(request, "wave") or max(1, parallel) * 4

@@ -12,7 +12,8 @@ This package provides the pieces of that flow the reproduction needs:
   the experiments need (edge counting, frequency, averages);
 * :mod:`repro.spice.charlib` — batch characterization sweeps behind a
   persistent on-disk cache (the ``characterize_many`` front door with
-  ``engine="exact"|"surrogate"|"auto"`` dispatch);
+  ``engine="exact"|"surrogate"`` dispatch; exact unless the caller opts
+  in to surrogates);
 * :mod:`repro.spice.surrogate` — certified monotone-PCHIP interpolants
   fitted from coarse anchor grids of exact solves (the
   ``engine="surrogate"`` backend).

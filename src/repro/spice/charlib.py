@@ -12,17 +12,16 @@ module is the front door for that pattern, mirroring
 >>> [result] = characterize_many([sweep], parallel=4)
 >>> result.frequency      # Hz per sweep voltage
 
-``engine=`` selects how curves are produced, mirroring
-``evaluate_many(engine=)``:
+``engine=`` selects how curves are produced:
 
-* ``"exact"`` — every point is a real SPICE solve (cached);
+* ``"exact"`` (default) — every point is a real SPICE solve (cached);
 * ``"surrogate"`` — answer from a certified
   :mod:`repro.spice.surrogate` interpolant, fitting one on demand when
-  no cached model covers the request;
-* ``"auto"`` (default) — use a certified surrogate when one already
-  covers the request *and* its tolerance, fall back to exact
-  otherwise.  With no fitted models this is byte-identical to
-  ``"exact"``, so the default is fully backward compatible.
+  no cached model covers the request.
+
+A call's answer is a function of its arguments: the cache changes how
+fast an answer arrives, never which answer it is.  Cached surrogate
+models answer only when the caller asks for ``engine="surrogate"``.
 
 Results are cached in memory and (by default) on disk, keyed by a
 fingerprint of *everything that determines the answer*: a schema
@@ -44,8 +43,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import numbers
 import os
 import tempfile
+import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -82,7 +85,7 @@ CHARLIB_RTOL = 0.02
 CACHE_ENV = "REPRO_CHARLIB_CACHE"
 
 #: Valid values for ``characterize_many(engine=)``.
-CHAR_ENGINES = ("auto", "exact", "surrogate")
+CHAR_ENGINES = ("exact", "surrogate")
 
 #: Rising edges discarded before measuring frequency/current — the
 #: staggered start needs a couple of periods to settle into the limit
@@ -116,9 +119,7 @@ class RingSweep:
     period_rtol: float = 5e-3
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "voltages", tuple(float(v) for v in self.voltages))
-        if not self.voltages:
-            raise ConfigurationError("RingSweep needs at least one voltage")
+        _validate_sweep(self, ("n_stages", "periods", "points_per_period"))
         if self.periods < 3 or self.points_per_period < 8:
             raise ConfigurationError("RingSweep horizon too short to measure a period")
 
@@ -137,14 +138,34 @@ class DividerSweep:
     jacobian: str = "stamp"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "voltages", tuple(float(v) for v in self.voltages))
-        if not self.voltages:
-            raise ConfigurationError("DividerSweep needs at least one voltage")
+        _validate_sweep(self, ("tap", "total"))
         # Validates tap/total/upper_width eagerly, at request-build time.
         VoltageDivider(self.tech, self.tap, self.total, self.upper_width)
 
 
 SweepRequest = Union[RingSweep, DividerSweep]
+
+
+def _validate_sweep(request: SweepRequest, integer_fields: Tuple[str, ...]) -> None:
+    """Typed checks at request-build time, before anything is solved or
+    cached: finite real voltages (stored as a float tuple) and
+    ``temp_k``, and non-bool integer ``integer_fields``."""
+    kind = type(request).__name__
+    volts = request.voltages
+    if isinstance(volts, (str, bytes)) or not isinstance(volts, Iterable):
+        raise ConfigurationError(f"{kind} voltages: {volts!r} is not a list of numbers")
+    volts = tuple(volts)
+    if not volts:
+        raise ConfigurationError(f"{kind} needs at least one voltage")
+    for name, value in [("voltages", v) for v in volts] + [("temp_k", request.temp_k)]:
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and math.isfinite(value)):
+            raise ConfigurationError(f"{kind} {name}: {value!r} is not a finite real number")
+    for name in integer_fields:
+        value = getattr(request, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigurationError(f"{kind} {name}: {value!r} is not an integer")
+    object.__setattr__(request, "voltages", tuple(float(v) for v in volts))
 
 
 @dataclass(frozen=True)
@@ -424,7 +445,7 @@ class CharacterizationCache:
     :func:`~repro.spice.surrogate.model_fingerprint` keys — which
     include the tolerance and anchor schema, so a tightened tolerance
     is always a miss — and indexes them by circuit structure for the
-    ``engine="auto"|"surrogate"`` dispatch.
+    ``engine="surrogate"`` dispatch.
     """
 
     def __init__(self, cache_dir: Optional[str] = None, enabled: bool = True):
@@ -469,21 +490,11 @@ class CharacterizationCache:
         if not self.enabled:
             return
         self._memory[fp] = result
-        self._store_disk(fp, result)
+        self._write_json(self._path(fp), result.to_dict())
 
     # ------------------------------------------------------------------
     # Surrogate-model layer
     # ------------------------------------------------------------------
-    def has_models(self) -> bool:
-        """Whether any certified surrogate model is available — the
-        ``engine="auto"`` gate (False means auto is exactly exact)."""
-        if not self.enabled:
-            return False
-        if self._models:
-            return True
-        self._scan_models()
-        return bool(self._models)
-
     def get_model(self, fp: str):
         """Certified model under ``fp`` (memory, then disk), or None."""
         if not self.enabled:
@@ -498,19 +509,7 @@ class CharacterizationCache:
         if not self.enabled:
             return
         self._index_model(model)
-        path = self._model_path(model.fingerprint)
-        if path is None:
-            return
-        try:
-            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(model.to_dict(), handle)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except (OSError, UnboundLocalError):
-                pass
+        self._write_json(self._model_path(model.fingerprint), model.to_dict())
 
     def find_models(self, structure_key: tuple) -> List:
         """Models able to answer requests with this circuit structure,
@@ -578,14 +577,14 @@ class CharacterizationCache:
         except (KeyError, TypeError):
             return None
 
-    def _store_disk(self, fp: str, result: SweepResult) -> None:
-        path = self._path(fp)
+    def _write_json(self, path: Optional[str], payload: dict) -> None:
+        """Atomic publish; an unwritable directory just skips the write."""
         if path is None:
             return
         try:
             fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(result.to_dict(), handle)
+                json.dump(payload, handle)
             os.replace(tmp, path)
         except OSError:
             try:
@@ -619,7 +618,7 @@ def default_cache() -> CharacterizationCache:
 def characterize_many(
     requests: Sequence[SweepRequest],
     *,
-    engine: str = "auto",
+    engine: str = "exact",
     parallel: Optional[int] = None,
     cache: Optional[CharacterizationCache] = None,
     cache_dir: Optional[str] = None,
@@ -631,10 +630,10 @@ def characterize_many(
     request order, duplicate requests share one result object, and
     ``engine`` picks the compute path (see the module docstring):
     ``"exact"`` solves, ``"surrogate"`` answers from certified
-    interpolants (fitting on demand), ``"auto"`` uses a covering
-    certified model when one exists and exact solves otherwise.
-    ``tolerance`` is the certified relative tolerance surrogates must
-    meet (default :data:`repro.spice.surrogate.DEFAULT_TOLERANCE`).
+    interpolants (fitting on demand).  ``tolerance`` is the certified
+    relative tolerance surrogates must meet (default
+    :data:`repro.spice.surrogate.DEFAULT_TOLERANCE`).  ``engine="auto"``
+    is a deprecated alias of ``"exact"``.
 
     ``cache`` defaults to the process-wide :func:`default_cache`; pass
     ``cache_dir`` to point a fresh cache at a specific directory
@@ -645,6 +644,14 @@ def characterize_many(
     alone writes the cache.  Serial and parallel runs return identical
     results under every engine.
     """
+    if engine == "auto":
+        warnings.warn(
+            'characterize_many(engine="auto") is deprecated and runs "exact"; '
+            'pass engine="surrogate" to answer from certified surrogates',
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        engine = "exact"
     if engine not in CHAR_ENGINES:
         raise ConfigurationError(
             f"unknown characterization engine {engine!r}; pick one of {CHAR_ENGINES}"
@@ -652,35 +659,13 @@ def characterize_many(
     requests = list(requests)
     if cache is None:
         cache = CharacterizationCache(cache_dir) if cache_dir else default_cache()
-    if engine == "exact" or not requests:
-        return _characterize_exact(requests, parallel=parallel, cache=cache)
-    if engine == "auto" and not cache.has_models():
-        # No certified models anywhere: auto is byte-identical to exact,
-        # without paying any surrogate dispatch overhead.
-        return _characterize_exact(requests, parallel=parallel, cache=cache)
-    from repro.spice import surrogate
+    if engine == "surrogate":
+        from repro.spice import surrogate
 
-    if surrogate.np is None:
-        if engine == "auto":
-            return _characterize_exact(requests, parallel=parallel, cache=cache)
-        raise ConfigurationError(
-            "engine='surrogate' needs numpy; install it or use engine='exact'"
+        return surrogate.dispatch(
+            requests, parallel=parallel, cache=cache, tolerance=tolerance
         )
-    return surrogate.dispatch(
-        requests, engine=engine, parallel=parallel, cache=cache, tolerance=tolerance
-    )
-
-
-def _characterize_exact(
-    requests: List[SweepRequest],
-    *,
-    parallel: Optional[int] = None,
-    cache: Optional[CharacterizationCache] = None,
-) -> List[SweepResult]:
-    """The exact-solve path: two-layer cache in front of the
-    :mod:`repro.exec` fan-out (the pre-1.6 ``characterize_many``)."""
-    if cache is None:
-        cache = default_cache()
+    # The exact path: the two-layer cache in front of the repro.exec fan-out.
     fps = [fingerprint(r) for r in requests]
     with OBS.tracer.span("spice.characterize_many", requests=len(requests)) as sp:
         results: List[Optional[SweepResult]] = [cache.get(fp) for fp in fps]

@@ -23,10 +23,10 @@ This module provides that layer:
   :class:`~repro.spice.charlib.CharacterizationCache` under a
   fingerprint that covers the tolerance and anchor schema (tightening
   the tolerance can never resurface a looser model);
-* :func:`dispatch` — the engine-selecting back half of
-  ``characterize_many(engine="surrogate"|"auto")``: requests covered by
-  a certified model evaluate vectorized in-process (microseconds per
-  request), everything else falls back to exact solves.
+* :func:`dispatch` — the back half of
+  ``characterize_many(engine="surrogate")``: requests covered by a
+  certified model evaluate vectorized in-process (microseconds per
+  request), and each uncovered circuit gets a model fitted on demand.
 
 Certification semantics: the certified error is **relative with an
 absolute floor** — for each quantity ``q`` with exact values ``y`` the
@@ -616,35 +616,32 @@ def _fast_result(kind, fingerprint, voltages, quantities, curves, offset):
 def dispatch(
     requests: List[SweepRequest],
     *,
-    engine: str,
     parallel: Optional[int],
     cache: CharacterizationCache,
     tolerance: Optional[float],
 ) -> List[SweepResult]:
-    """Surrogate-aware request routing for ``engine="surrogate"|"auto"``.
+    """Request routing for ``characterize_many(engine="surrogate")``.
 
     Requests covered by a certified cached model are answered by one
     vectorized interpolant evaluation per (model, temperature) group;
-    the rest fall back to exact characterization (``engine="auto"``) or
-    trigger an on-demand :func:`fit_surrogate` per uncovered circuit
-    group (``engine="surrogate"``).  Results come back in request
-    order, duplicate requests share one result object (matching the
-    exact cache's semantics), and the exact fallback fans out through
+    the rest trigger an on-demand :func:`fit_surrogate` per uncovered
+    circuit group, whose anchor solves fan out through
     :func:`repro.exec.run_tasks` exactly as ``engine="exact"`` does —
-    so serial and parallel runs are identical.
+    so serial and parallel runs are identical.  Results come back in
+    request order and duplicate requests share one result object
+    (matching the exact cache's semantics).
     """
     tol = DEFAULT_TOLERANCE if tolerance is None else float(tolerance)
     n = len(requests)
     results: List[Optional[SweepResult]] = [None] * n
     seen: Dict[tuple, int] = {}       # dispatch key -> first index
     aliases: List[Tuple[int, int]] = []
-    exact_idx: List[int] = []
     # (id(model), temp) -> [voltage list, [(index, v_count), ...]]
     groups: Dict[tuple, list] = {}
     model_by_gid: Dict[int, SurrogateModel] = {}
     # cheap per-call circuit key -> list of candidate models (or None)
     candidates_memo: Dict[tuple, list] = {}
-    uncovered: Dict[tuple, list] = {}  # circuit key -> request indices (surrogate engine)
+    uncovered: Dict[tuple, list] = {}  # circuit key -> request indices
 
     for i, req in enumerate(requests):
         kind = type(req).__name__
@@ -666,15 +663,12 @@ def dispatch(
                 model = candidate
                 break
         if model is None:
-            if engine == "auto":
-                exact_idx.append(i)
-            else:
-                uncovered.setdefault(circuit_key, []).append(i)
+            uncovered.setdefault(circuit_key, []).append(i)
             continue
         _enqueue(groups, model_by_gid, model, req, i)
 
-    # engine="surrogate": fit one model per uncovered circuit group over
-    # the union of its requests' spans, then route the group through it.
+    # Fit one model per uncovered circuit group over the union of its
+    # requests' spans, then route the group through it.
     for circuit_key, idxs in uncovered.items():
         reqs = [requests[i] for i in idxs]
         span = [v for r in reqs for v in (min(r.voltages), max(r.voltages))]
@@ -685,16 +679,6 @@ def dispatch(
         )
         for i in idxs:
             _enqueue(groups, model_by_gid, model, requests[i], i)
-
-    if exact_idx:
-        OBS.metrics.incr("spice.surrogate_fallbacks", len(exact_idx))
-        for i, result in zip(
-            exact_idx,
-            charlib._characterize_exact(
-                [requests[i] for i in exact_idx], parallel=parallel, cache=cache
-            ),
-        ):
-            results[i] = result
 
     hits = 0
     for (gid, temp_k), (volts, members) in groups.items():

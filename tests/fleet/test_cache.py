@@ -1,5 +1,7 @@
 """The shared calibration cache against cold enrollment."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.monitor import FailureSentinels
@@ -92,13 +94,45 @@ class TestDiskLayer:
         assert cold.stats.misses == 0
         assert loaded == stored
 
-    def test_corrupt_file_falls_back_to_build(self, tmp_path):
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"not a pickle",
+            b"",
+            b"cno_such_module\nRecord\n.",            # ModuleNotFoundError
+            b"crepro.fleet.cache\nNoSuchRecord\n.",   # AttributeError
+            b"c__builtin__\nint\n(S'x'\ntR.",        # ValueError
+            b"c__builtin__\nint\n(I1\nI2\nI3\ntR.",  # TypeError
+        ],
+        ids=["garbage", "empty", "missing-module", "missing-attr", "value", "type"],
+    )
+    def test_corrupt_file_falls_back_to_build(self, tmp_path, payload):
         cache_dir = str(tmp_path / "calib")
         warm = CalibrationCache(cache_dir=cache_dir)
         warm.get(LP_KEY)
         for path in (tmp_path / "calib").iterdir():
-            path.write_bytes(b"not a pickle")
+            path.write_bytes(payload)
         cold = CalibrationCache(cache_dir=cache_dir)
         record = cold.get(LP_KEY)
         assert record == warm.get(LP_KEY)
         assert cold.stats.misses == 1
+
+    def test_recalibrated_card_misses_disk(self, tmp_path, monkeypatch):
+        """A disk record is keyed by the card it enrolled on: after the
+        90 nm card changes, a fresh cache on the same directory must
+        rebuild, not serve the old enrollment."""
+        from repro.tech import ptm
+
+        key = ("90nm", "fs", (("f_sample", 5000.0),))
+        cache_dir = str(tmp_path / "calib")
+        old = CalibrationCache(cache_dir=cache_dir).get(key)
+        card = ptm._BY_NAME["90nm"]
+        monkeypatch.setitem(
+            ptm._BY_NAME, "90nm", dataclasses.replace(card, k_delay=card.k_delay * 1.5)
+        )
+        fresh = CalibrationCache(cache_dir=cache_dir)
+        record = fresh.get(key)
+        assert fresh.stats.disk_hits == 0
+        assert fresh.stats.misses == 1
+        assert record == build_record(key)
+        assert record.model != old.model

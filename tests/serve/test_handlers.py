@@ -54,6 +54,17 @@ class TestSweepWireFormat:
         with pytest.raises(ConfigurationError, match="unknown sweep kind"):
             sweep_from_dict({"kind": "op-amp"})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("voltages", "abc"), ("voltages", [0.8, "nan"]), ("n_stages", "5"),
+         ("periods", "x"), ("temp_k", None)],
+    )
+    def test_mistyped_fields_rejected(self, field, value):
+        payload = sweep_to_dict(RingSweep(tech=TECH_90NM, n_stages=5, voltages=(0.8, 1.0)))
+        payload[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            sweep_from_dict(payload)
+
     def test_unknown_fields_rejected(self):
         payload = sweep_to_dict(RingSweep(tech=TECH_90NM, n_stages=5, voltages=(0.8, 1.0)))
         payload["bogus"] = 1
@@ -106,6 +117,27 @@ class TestInlineExecution:
         )
         assert out2["cache"] == {"hits": 1, "misses": 0, "surrogate_hits": 0}
         assert out2["results"] == out["results"]
+
+    def test_default_job_unchanged_by_surrogate_job(self):
+        """A cache changes how fast, never what: another client's
+        surrogate fit over a covering span leaves the default job's
+        bytes unchanged in the same manager."""
+        import json
+
+        context, _ = _context()
+        sweep = sweep_to_dict(DividerSweep(tech=TECH_90NM, voltages=(1.5, 2.0, 2.5)))
+        default = {"sweeps": [sweep]}
+        before = HANDLERS["characterize"](context, default)
+        fitted = HANDLERS["characterize"](
+            context,
+            {"sweeps": [{**sweep, "voltages": [1.0, 3.5]}], "engine": "surrogate"},
+        )
+        assert fitted["results"][0]["source"] == "surrogate"
+        after = HANDLERS["characterize"](context, default)
+        assert after["results"][0]["source"] == "exact"
+        assert json.dumps(after["results"], sort_keys=True) == json.dumps(
+            before["results"], sort_keys=True
+        )
 
     def test_cancel_flag_aborts_inline(self):
         context, job = _context()

@@ -84,6 +84,42 @@ class TestDividerSweep:
             DividerSweep(tech=TECH_90NM, voltages=(3.0,), tap=3, total=3)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestRequestValidation:
+    """Non-finite or mistyped sweep fields are typed errors at request
+    build time, never a ``nan`` row in the cache or a TypeError later."""
+
+    @pytest.mark.parametrize(
+        "cls, overrides",
+        [
+            (RingSweep, {"voltages": (NAN, 1.0)}),
+            (RingSweep, {"voltages": (INF,)}),
+            (DividerSweep, {"voltages": (1.0, -INF)}),
+            (DividerSweep, {"voltages": (True, 2.0)}),
+            (DividerSweep, {"voltages": "abc"}),
+            (DividerSweep, {"voltages": "25"}),
+            (DividerSweep, {"temp_k": NAN}),
+            (RingSweep, {"temp_k": INF}),
+            (RingSweep, {"temp_k": True}),
+            (DividerSweep, {"temp_k": "300"}),
+            (RingSweep, {"n_stages": "5"}),
+            (RingSweep, {"n_stages": True}),
+            (RingSweep, {"periods": "x"}),
+            (RingSweep, {"points_per_period": 64.0}),
+            (DividerSweep, {"tap": "1"}),
+        ],
+    )
+    def test_rejected(self, cls, overrides):
+        params = {"tech": TECH_90NM, "voltages": (1.0, 2.0)}
+        if cls is RingSweep:
+            params["n_stages"] = 5
+        params.update(overrides)
+        with pytest.raises(ConfigurationError):
+            cls(**params)
+
+
 class TestFingerprint:
     def test_stable_for_equal_requests(self):
         assert fingerprint(ring_sweep()) == fingerprint(ring_sweep())

@@ -236,7 +236,7 @@ class TestModelIdentity:
         assert reloaded.get_model(loose.fingerprint) is not None
         q = div_sweep(voltages=(1.5, 2.5))
         [res] = characterize_many(
-            [q], engine="auto", cache=reloaded, tolerance=0.005
+            [q], engine="surrogate", cache=reloaded, tolerance=0.005
         )
         assert res.source == "surrogate"
         assert res.fingerprint == tight.fingerprint
@@ -245,9 +245,9 @@ class TestModelIdentity:
         disk = CharacterizationCache(cache_dir=str(tmp_path))
         fit_surrogate(div_sweep(), cache=disk)
         q = div_sweep(voltages=(1.5, 2.0, 2.5))
-        [first] = characterize_many([q], engine="auto", cache=disk)
+        [first] = characterize_many([q], engine="surrogate", cache=disk)
         reloaded = CharacterizationCache(cache_dir=str(tmp_path))
-        [second] = characterize_many([q], engine="auto", cache=reloaded)
+        [second] = characterize_many([q], engine="surrogate", cache=reloaded)
         assert first == second
         assert second.source == "surrogate"
 
@@ -261,33 +261,55 @@ class TestEngineDispatch:
             characterize_many([div_sweep()], engine="spline", cache=cache)
 
     def test_auto_without_models_is_exact(self, cache):
+        """``engine="auto"`` is a deprecated alias of ``"exact"``: it
+        warns and answers exactly."""
         q = div_sweep(voltages=(1.5, 2.5))
-        [auto] = characterize_many([q], engine="auto", cache=cache)
+        with pytest.warns(DeprecationWarning, match="auto"):
+            [auto] = characterize_many([q], engine="auto", cache=cache)
         assert auto.source == "exact"
         [exact] = characterize_many([q], engine="exact", cache=cache)
         assert auto == exact
 
-    def test_auto_uses_covering_model_and_falls_back(self, cache):
+    def test_auto_alias_ignores_covering_model(self, cache):
         fit_surrogate(div_sweep(), cache=cache)
+        q = div_sweep(voltages=(1.5, 2.5))
+        with pytest.warns(DeprecationWarning, match="auto"):
+            [auto] = characterize_many([q], engine="auto", cache=cache)
+        [exact] = characterize_many([q], engine="exact", cache=cache)
+        assert auto.source == "exact"
+        assert auto.to_dict() == exact.to_dict()
+
+    def test_default_is_exact_despite_covering_model(self, cache):
+        """A cache changes how fast, never what: a certified covering
+        model sits in the cache, yet the default call solves exactly
+        and its payloads equal ``engine="exact"``'s."""
+        model = fit_surrogate(div_sweep(), cache=cache)
+        assert model.covers(1.5, 3.0, 298.15, DEFAULT_TOLERANCE)
+        reqs = [div_sweep(voltages=(1.5, 2.5)), div_sweep(voltages=(2.0, 3.0))]
+        default = characterize_many(reqs, cache=cache)
+        assert [r.source for r in default] == ["exact", "exact"]
+        exact = characterize_many(reqs, engine="exact", cache=cache)
+        assert [r.to_dict() for r in default] == [r.to_dict() for r in exact]
+
+    def test_surrogate_routes_to_covering_model(self, cache):
+        model = fit_surrogate(div_sweep(), cache=cache)
         covered = div_sweep(voltages=(1.5, 2.5))
         outside = div_sweep(voltages=(0.8, 2.5))  # below the fitted span
         other_structure = div_sweep(voltages=(1.5, 2.5), upper_width=2.0)
         results = characterize_many(
-            [covered, outside, other_structure], engine="auto", cache=cache
+            [covered, outside, other_structure], engine="surrogate", cache=cache
         )
-        assert [r.source for r in results] == ["surrogate", "exact", "exact"]
-
-    def test_auto_never_fits(self, cache):
-        q = div_sweep(voltages=(1.5, 2.5))
-        [res] = characterize_many([q], engine="auto", cache=cache)
-        assert res.source == "exact"
-        assert not cache.has_models()
+        assert [r.source for r in results] == ["surrogate"] * 3
+        # The covered request reuses the fitted model; the others each
+        # got a fresh on-demand fit.
+        assert results[0].fingerprint == model.fingerprint
+        assert len({r.fingerprint for r in results}) == 3
 
     def test_surrogate_engine_fits_on_demand(self, cache):
         q = div_sweep(voltages=(1.5, 2.5))
         [res] = characterize_many([q], engine="surrogate", cache=cache)
         assert res.source == "surrogate"
-        assert cache.has_models()
+        assert cache.get_model(res.fingerprint) is not None
         [exact] = characterize_many([q], engine="exact", cache=cache)
         for got, want in zip(res.tap, exact.tap):
             assert abs(got - want) / abs(want) <= DEFAULT_TOLERANCE
@@ -305,59 +327,68 @@ class TestEngineDispatch:
     def test_duplicates_share_one_result_object(self, cache):
         fit_surrogate(div_sweep(), cache=cache)
         q = div_sweep(voltages=(1.5, 2.5))
-        a, b = characterize_many([q, q], engine="auto", cache=cache)
+        a, b = characterize_many([q, q], engine="surrogate", cache=cache)
         assert a is b
 
     def test_tolerance_gates_coverage(self, cache):
         model = fit_surrogate(div_sweep(), tolerance=0.02, cache=cache)
         q = div_sweep(voltages=(1.5, 2.5))
-        [loose] = characterize_many([q], engine="auto", cache=cache, tolerance=0.05)
-        assert loose.source == "surrogate"
-        [tight] = characterize_many([q], engine="auto", cache=cache, tolerance=0.001)
-        assert tight.source == "exact"
+        [loose] = characterize_many(
+            [q], engine="surrogate", cache=cache, tolerance=0.05
+        )
+        assert loose.fingerprint == model.fingerprint
+        # Too loose for a 0.5 % request: a fresh, tighter fit answers.
+        [tight] = characterize_many(
+            [q], engine="surrogate", cache=cache, tolerance=0.005
+        )
+        assert tight.fingerprint != model.fingerprint
+        assert cache.get_model(tight.fingerprint).tolerance == 0.005
         assert model.covers(1.5, 2.5, 298.15, 0.05)
         assert not model.covers(1.5, 2.5, 298.15, 0.001)
 
     def test_wrong_temperature_not_covered(self, cache):
-        fit_surrogate(div_sweep(), cache=cache)  # single-temp model
+        model = fit_surrogate(div_sweep(), cache=cache)  # single-temp model
         q = div_sweep(voltages=(1.5, 2.5), temp_k=320.0)
-        [res] = characterize_many([q], engine="auto", cache=cache)
-        assert res.source == "exact"
+        [res] = characterize_many([q], engine="surrogate", cache=cache)
+        assert res.source == "surrogate"
+        assert res.fingerprint != model.fingerprint
+        assert cache.get_model(res.fingerprint).temps == (320.0,)
 
-    def test_auto_serial_equals_parallel(self, cache, monkeypatch):
-        """Satellite property: engine="auto" through run_tasks is
-        bit-identical between the serial backend and worker processes,
-        with a mixed covered/uncovered batch."""
+    def test_surrogate_serial_equals_parallel(self, cache, monkeypatch):
+        """engine="surrogate" through run_tasks is bit-identical between
+        the serial backend and worker processes, on a mixed batch of
+        covered requests and uncovered ones that fit on demand."""
         fit_surrogate(div_sweep(), cache=cache)
         batch = [
             div_sweep(voltages=(1.2, 1.8)),          # covered
-            div_sweep(voltages=(0.8, 1.1)),          # exact fallback
+            div_sweep(voltages=(1.5, 2.0), upper_width=2.0),  # fits on demand
             div_sweep(voltages=(2.0, 3.0)),          # covered
-            div_sweep(tech=TECH_65NM, voltages=(1.5, 2.0)),  # exact fallback
+            div_sweep(tech=TECH_65NM, voltages=(1.5, 2.0)),  # fits on demand
         ]
         parallel = characterize_many(
-            batch, engine="auto", parallel=2,
+            batch, engine="surrogate", parallel=2,
             cache=CharacterizationCache(enabled=False),
         )
         monkeypatch.setenv(BACKEND_ENV, "serial")
         serial = characterize_many(
-            batch, engine="auto", parallel=2,
+            batch, engine="surrogate", parallel=2,
             cache=CharacterizationCache(enabled=False),
         )
-        # Disabled caches carry no models: both runs are exact.  Models
-        # present: surrogate answers are computed in the parent either
-        # way.  Compare the full payloads bit-for-bit.
+        # Disabled caches carry no models: every request fits on
+        # demand, anchor solves fanned out.  Compare the full payloads
+        # bit-for-bit.
         assert [r.to_dict() for r in parallel] == [r.to_dict() for r in serial]
-        par2 = characterize_many(batch, engine="auto", parallel=2, cache=cache)
+        monkeypatch.delenv(BACKEND_ENV)
+        par2 = characterize_many(batch, engine="surrogate", parallel=2, cache=cache)
         monkeypatch.setenv(BACKEND_ENV, "serial")
-        ser2 = characterize_many(batch, engine="auto", parallel=2, cache=cache)
+        ser2 = characterize_many(batch, engine="surrogate", parallel=2, cache=cache)
         assert [r.to_dict() for r in par2] == [r.to_dict() for r in ser2]
-        assert [r.source for r in par2] == ["surrogate", "exact", "surrogate", "exact"]
+        assert [r.source for r in par2] == ["surrogate"] * 4
 
     def test_surrogate_counters(self, cache):
         fit_surrogate(div_sweep(), cache=cache)
         characterize_many(
-            [div_sweep(voltages=(1.5, 2.5))], engine="auto", cache=cache
+            [div_sweep(voltages=(1.5, 2.5))], engine="surrogate", cache=cache
         )
         assert cache.stats.surrogate_hits == 1
         assert "surrogate" in cache.stats.summary()

@@ -65,21 +65,11 @@ class TestCLI:
 
 
 class TestCharacterizeCLI:
-    @pytest.fixture(autouse=True)
-    def _isolated_cache(self, monkeypatch, tmp_path):
-        # The CLI goes through the process-wide default cache; point it
-        # at a fresh directory so models from other tests (or the real
-        # user cache) cannot change which engine answers.
-        from repro.spice import charlib
-
-        monkeypatch.setenv("REPRO_CHARLIB_CACHE", str(tmp_path))
-        monkeypatch.setattr(charlib, "_DEFAULT_CACHE", None)
-
     def test_divider_table(self, capsys):
         main(["characterize", "--voltages", "2.0,2.5,3.0"])
         out = capsys.readouterr().out
         assert "divider @ 90nm" in out
-        assert "(exact)" in out  # auto with no fitted models solves exactly
+        assert "(exact)" in out  # the default engine solves exactly
         assert "tap (V)" in out
 
     def test_json_output(self, capsys):
@@ -98,11 +88,19 @@ class TestCharacterizeCLI:
         assert "fitted surrogate" in out
         assert "certified error" in out
         assert "(surrogate)" in out
+        # --fit alone answers through the model it fitted.
+        main(["characterize", "--voltages", "1.0:3.5:9", "--fit"])
+        assert "(surrogate)" in capsys.readouterr().out
 
     def test_bad_voltage_spec_exits_cleanly(self, capsys):
-        for spec in ("nope", "1.0:3.5", "1.0:3.5:0"):
+        argvs = [
+            ["--voltages", spec]
+            for spec in ("nope", "1.0:3.5", "1.0:3.5:0", "nan,2.0")
+        ]
+        argvs.append(["--voltages", "2.0", "--temp", "nan"])
+        for argv in argvs:
             with pytest.raises(SystemExit) as excinfo:
-                main(["characterize", "--voltages", spec])
+                main(["characterize", *argv])
             assert excinfo.value.code == 2
             assert capsys.readouterr().err.startswith("error: ")
 
@@ -119,9 +117,16 @@ class TestFleetCLI:
         with pytest.raises(SystemExit):
             main(["fleet", "--devices", "2", "--irradiance", "venus"])
 
-    def test_fleet_config_errors_exit_cleanly(self, capsys):
-        """Bad sizes surface as one-line errors, not tracebacks."""
-        for argv in (["fleet", "--devices", "0"], ["fleet", "--devices", "2", "--jobs", "0"]):
+    def test_fleet_config_errors_exit_cleanly(self, tmp_path, capsys):
+        """Bad sizes and an unusable --cache-dir surface as one-line
+        errors, not tracebacks."""
+        regular = tmp_path / "not-a-dir"
+        regular.write_text("x")
+        for argv in (
+            ["fleet", "--devices", "0"],
+            ["fleet", "--devices", "2", "--jobs", "0"],
+            ["fleet", "--devices", "2", "--cache-dir", str(regular)],
+        ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2

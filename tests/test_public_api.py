@@ -155,17 +155,18 @@ class TestCharlibSurface:
         assert repro.RingSweep is repro.api.RingSweep
 
     def test_characterize_many_engine_signature(self):
-        # The 1.6 front door: engine/tolerance are keyword-only, the
-        # default engine is auto, and the engine names are published.
+        # The front door: engine/tolerance are keyword-only, the default
+        # engine is exact (surrogates answer only when asked for), and
+        # the engine names are published.
         import inspect
 
         import repro.api as api
 
         params = inspect.signature(api.characterize_many).parameters
         assert params["engine"].kind is inspect.Parameter.KEYWORD_ONLY
-        assert params["engine"].default == "auto"
+        assert params["engine"].default == "exact"
         assert params["tolerance"].kind is inspect.Parameter.KEYWORD_ONLY
-        assert api.CHAR_ENGINES == ("auto", "exact", "surrogate")
+        assert api.CHAR_ENGINES == ("exact", "surrogate")
 
 
 class TestSurrogateSurface:
